@@ -15,6 +15,9 @@
 //    Measured as a warm re-run against the same engine, plus an
 //    incremental variant where one module body is edited (only the
 //    changed module and its transitive instantiators re-infer).
+//  * The BLIF front end those re-checks start with — cold parseBlif on
+//    the RISC-V SoC export, plain and through a fresh parse cache,
+//    against a warm cached re-parse of an edited file.
 //
 // Families: the gen::Catalog corpus bit-blasted into independent
 // gate-level modules (the scalability family: wide, flat DAG) and the
@@ -30,6 +33,8 @@
 #include "gen/Catalog.h"
 #include "gen/Fifo.h"
 #include "gen/Opdb.h"
+#include "parse/Blif.h"
+#include "riscv/Cpu.h"
 #include "support/FailPoint.h"
 #include "support/Table.h"
 #include "synth/Lower.h"
@@ -402,6 +407,81 @@ int main(int ArgC, char **ArgV) {
     }
   }
 
+  // --- BLIF front end: cold vs warm parseBlif on the SoC export ---------
+  // The real design (the `riscv_soc --emit-blif` netlist): a plain cold
+  // parse, a cold parse that fills a fresh BlifParseCache (what one CLI
+  // process does), and a warm re-parse of an edited file — one new
+  // unused gate in the last model, so one chunk re-parses and the rest
+  // replay (what the daemon does per edit). Best of N; every rep is
+  // gated on the cached parses being structurally equal to plain parses
+  // of the same text, so a faster-but-wrong replay reports no number.
+  double ParsePlainS = -1.0, ParseColdS = -1.0, ParseWarmS = -1.0;
+  uint64_t SocBytes = 0;
+  size_t SocChunks = 0, SocWarmHits = 0, SocWarmMisses = 0;
+  {
+    Design D;
+    riscv::Cpu Cpu = riscv::buildCpu(D);
+    ModuleId CpuTop = riscv::sealCpu(Cpu);
+    synth::HierLowered Low = synth::lowerHierarchical(D, CpuTop);
+    const std::string Text = parse::writeBlif(Low.Design, Low.Top);
+    SocBytes = Text.size();
+    auto sameParse = [](const parse::BlifFile &A, const parse::BlifFile &B) {
+      if (A.Top != B.Top || A.Design.numModules() != B.Design.numModules())
+        return false;
+      for (ModuleId Id = 0; Id != A.Design.numModules(); ++Id)
+        if (A.Design.module(Id).Name != B.Design.module(Id).Name)
+          return false;
+      return parse::writeBlif(A.Design, A.Top) ==
+             parse::writeBlif(B.Design, B.Top);
+    };
+    const int ParseReps = Quick ? 3 : 5;
+    for (int I = 0; I != ParseReps; ++I) {
+      // Each rep edits in a gate of its own, so its warm parse misses.
+      std::string Edited = Text;
+      Edited.insert(Edited.rfind(".end\n"),
+                    ".names bench_edit_" + std::to_string(I) + "\n1\n");
+      Timer T2;
+      auto Plain = parse::parseBlif(Text, "soc.blif");
+      double PlainS = T2.seconds();
+      parse::BlifParseCache Cache;
+      T2.restart();
+      auto Cold = parse::parseBlif(Text, "soc.blif", nullptr, &Cache);
+      double ColdS = T2.seconds();
+      SocChunks = Cache.misses();
+      T2.restart();
+      auto Warm = parse::parseBlif(Edited, "soc.blif", nullptr, &Cache);
+      double WarmS = T2.seconds();
+      SocWarmHits = Cache.hits();
+      SocWarmMisses = Cache.misses() - SocChunks;
+      auto PlainEdited = parse::parseBlif(Edited, "soc.blif");
+      if (!Plain || !Cold || !Warm || !PlainEdited ||
+          !sameParse(*Plain, *Cold) || !sameParse(*PlainEdited, *Warm)) {
+        std::printf("soc parse family: cached parse diverged from plain!\n");
+        return 1;
+      }
+      auto best = [](double &Best, double S) {
+        Best = Best < 0.0 ? S : std::min(Best, S);
+      };
+      best(ParsePlainS, PlainS);
+      best(ParseColdS, ColdS);
+      best(ParseWarmS, WarmS);
+    }
+    std::printf("\n=== BLIF front end: parseBlif on the SoC export (%.1f MB, "
+                "%zu models; best of %d, plain-equal gated) ===\n\n",
+                SocBytes / 1e6, SocChunks, ParseReps);
+    Table ParseT({"Parse", "Time (ms)", "MB/s", "Chunk hits/misses"});
+    auto row = [&](const char *Name, double S, std::string Chunks) {
+      ParseT.addRow({Name, Table::secondsStr(S * 1e3, 1),
+                     Table::secondsStr(SocBytes / 1e6 / S, 1),
+                     std::move(Chunks)});
+    };
+    row("plain, cold", ParsePlainS, "-");
+    row("cached, cold", ParseColdS, "0/" + std::to_string(SocChunks));
+    row("cached, warm edit", ParseWarmS,
+        std::to_string(SocWarmHits) + "/" + std::to_string(SocWarmMisses));
+    ParseT.print();
+  }
+
   // --- Cold cache-load: legacy text sidecar vs wire format --------------
   // Every warm start begins by deserializing the summary store
   // (docs/FORMATS.md). The wire format exists to make that cheap:
@@ -623,6 +703,15 @@ int main(int ArgC, char **ArgV) {
         .field("cold_is_process", static_cast<uint64_t>(ColdViaProcess))
         .field("cold_s", EditCold)
         .field("resident_s", EditResident);
+    Report.beginRecord()
+        .field("parse", "soc_blif")
+        .field("bytes", SocBytes)
+        .field("models", static_cast<uint64_t>(SocChunks))
+        .field("plain_cold_s", ParsePlainS)
+        .field("cached_cold_s", ParseColdS)
+        .field("cached_warm_edit_s", ParseWarmS)
+        .field("warm_chunk_hits", static_cast<uint64_t>(SocWarmHits))
+        .field("warm_chunk_misses", static_cast<uint64_t>(SocWarmMisses));
     Report.beginRecord()
         .field("smoke", "trace_overhead")
         .field("disabled_s", SmokeOff)

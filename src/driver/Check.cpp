@@ -31,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 using namespace wiresort;
 using namespace wiresort::analysis;
@@ -411,7 +412,7 @@ CheckResult CheckService::run(const CheckRequest &R) {
       auto SliceIt = Summaries.find(Id);
       if (SliceIt == Summaries.end())
         continue;
-      const Module &M = File->Design.module(Id);
+      const Module &M = std::as_const(File->Design).module(Id);
       const ModuleSummary &S = SliceIt->second;
       appendf(Res.Out, "module %s (%zu gates, %zu regs, %zu instances)\n",
               M.Name.c_str(), M.Nets.size(), M.Registers.size(),
@@ -473,7 +474,7 @@ CheckResult CheckService::run(const CheckRequest &R) {
       uint32_t DeepestPair = 0;
       for (const auto &[Pair, Levels] : Depth.PairDepth)
         DeepestPair = std::max(DeepestPair, Levels);
-      DepthTable.addRow({File->Design.module(Id).Name,
+      DepthTable.addRow({std::as_const(File->Design).module(Id).Name,
                          std::to_string(Depth.InternalDepth),
                          std::to_string(DeepestPair)});
     }
@@ -531,7 +532,7 @@ CheckResult CheckService::run(const CheckRequest &R) {
     if (!Summaries.count(File->Top))
       return done(ioError(Emit, "--dot needs the top module's summary (not "
                                 "delivered by this --shard slice)"));
-    const Module &Top = File->Design.module(File->Top);
+    const Module &Top = std::as_const(File->Design).module(File->Top);
     if (!writeFile(R.DotPath, moduleDot(Top, Summaries.at(File->Top))))
       return done(ioError(Emit, "cannot write '" + R.DotPath + "'"));
     if (Emit.Fmt == Format::Text)

@@ -23,7 +23,7 @@ Circuit::portsOf(ModuleId Def) {
     Ports = std::make_unique<PortIndex>();
   auto [It, Fresh] = Ports->ByDef.try_emplace(Def);
   if (Fresh) {
-    const Module &DefM = D->module(Def);
+    const Module &DefM = design().module(Def);
     It->second.reserve(DefM.numPorts());
     for (WireId Port : DefM.Inputs)
       It->second.emplace(Ports->Names.intern(DefM.wire(Port).Name), Port);

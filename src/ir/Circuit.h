@@ -83,7 +83,7 @@ public:
   const std::string &name() const { return Name; }
 
   const Module &defOf(InstId Inst) const {
-    return D->module(Insts[Inst].Def);
+    return design().module(Insts[Inst].Def);
   }
 
   /// True iff every port of every instance participates in a connection —

@@ -14,13 +14,17 @@ using namespace wiresort;
 using namespace wiresort::ir;
 
 ModuleId Design::addModule(Module M) {
+  return addModule(std::make_shared<Module>(std::move(M)));
+}
+
+ModuleId Design::addModule(std::shared_ptr<Module> M) {
   Modules.push_back(std::move(M));
   return static_cast<ModuleId>(Modules.size() - 1);
 }
 
 ModuleId Design::findModule(const std::string &Name) const {
   for (ModuleId Id = 0; Id != Modules.size(); ++Id)
-    if (Modules[Id].Name == Name)
+    if (Modules[Id]->Name == Name)
       return Id;
   return InvalidId;
 }
@@ -28,21 +32,30 @@ ModuleId Design::findModule(const std::string &Name) const {
 std::optional<std::vector<ModuleId>> Design::topologicalModuleOrder() const {
   Graph G(Modules.size());
   for (ModuleId Id = 0; Id != Modules.size(); ++Id)
-    for (const SubInstance &Inst : Modules[Id].Instances)
+    for (const SubInstance &Inst : Modules[Id]->Instances)
       if (Inst.Def < Modules.size())
         G.addEdge(Inst.Def, Id);
   return G.topoSort();
 }
 
-std::optional<std::string> Design::validate() const {
-  for (const Module &M : Modules)
-    if (auto Err = M.validate())
-      return Err;
+std::optional<std::string>
+Design::validate(const std::vector<bool> &KnownValidLeaves) const {
+  auto known = [&](ModuleId Id) {
+    return Id < KnownValidLeaves.size() && KnownValidLeaves[Id] &&
+           Modules[Id]->Instances.empty();
+  };
+  for (ModuleId Id = 0; Id != Modules.size(); ++Id)
+    if (!known(Id))
+      if (auto Err = Modules[Id]->validate())
+        return Err;
 
   if (!topologicalModuleOrder())
     return std::string("design: module instantiation is cyclic");
 
-  for (const Module &M : Modules) {
+  for (ModuleId Id = 0; Id != Modules.size(); ++Id) {
+    if (known(Id))
+      continue;
+    const Module &M = *Modules[Id];
     auto fail = [&](const std::string &Msg) {
       return std::optional<std::string>("module '" + M.Name + "': " + Msg);
     };
@@ -60,7 +73,7 @@ std::optional<std::string> Design::validate() const {
     for (const SubInstance &Inst : M.Instances) {
       if (Inst.Def >= Modules.size())
         return fail("instance '" + Inst.Name + "' has no definition");
-      const Module &Def = Modules[Inst.Def];
+      const Module &Def = *Modules[Inst.Def];
       std::vector<bool> InputBound(Def.Wires.size(), false);
       for (const auto &[DefPort, Local] : Inst.Bindings) {
         if (DefPort >= Def.Wires.size())

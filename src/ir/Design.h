@@ -19,6 +19,7 @@
 
 #include "ir/Module.h"
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,14 +27,30 @@
 namespace wiresort::ir {
 
 /// An ordered collection of module definitions.
+///
+/// A Design is a value, but its module bodies are copy-on-write: a
+/// module added by shared pointer (the BLIF parse cache hands out its
+/// unchanged leaf models this way) and the modules of a copied Design
+/// are shared until the mutable \ref module accessor is used, which
+/// first copies a body that anyone else still holds. Read through a
+/// const Design to never copy. A mutable reference taken before the
+/// Design is copied still aliases the shared body, so take mutable
+/// references after copying.
 class Design {
 public:
   /// Adds \p M and returns its id. Names should be unique; \ref findModule
   /// returns the first match.
   ModuleId addModule(Module M);
+  /// Adds \p M without copying it, shared with its other owners.
+  ModuleId addModule(std::shared_ptr<Module> M);
 
-  Module &module(ModuleId Id) { return Modules[Id]; }
-  const Module &module(ModuleId Id) const { return Modules[Id]; }
+  Module &module(ModuleId Id) {
+    std::shared_ptr<Module> &P = Modules[Id];
+    if (P.use_count() != 1)
+      P = std::make_shared<Module>(*P);
+    return *P;
+  }
+  const Module &module(ModuleId Id) const { return *Modules[Id]; }
   size_t numModules() const { return Modules.size(); }
 
   /// Finds a module by name; InvalidId when absent.
@@ -44,7 +61,14 @@ public:
   /// acyclic, bindings name real ports with matching widths, every
   /// instance input port is bound, and every local wire has exactly one
   /// driver once instance outputs are counted.
-  std::optional<std::string> validate() const;
+  ///
+  /// \p KnownValidLeaves[Id] marks a module already known to pass every
+  /// per-module check (an unchanged copy of one that validated before);
+  /// its checks are skipped, which cannot change the first error. Only
+  /// leaves count: a marked module with instances is still checked,
+  /// since its bindings depend on other modules.
+  std::optional<std::string>
+  validate(const std::vector<bool> &KnownValidLeaves = {}) const;
 
   /// \returns module ids in dependency order (instantiated definitions
   /// before their instantiators), or std::nullopt if instantiation is
@@ -52,7 +76,7 @@ public:
   std::optional<std::vector<ModuleId>> topologicalModuleOrder() const;
 
 private:
-  std::vector<Module> Modules;
+  std::vector<std::shared_ptr<Module>> Modules;
 };
 
 } // namespace wiresort::ir

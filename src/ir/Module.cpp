@@ -224,6 +224,7 @@ std::optional<std::string> Module::validate() const {
 
   // Count drivers per wire.
   std::vector<uint32_t> Drivers(Wires.size(), 0);
+  std::vector<uint16_t> Widths; // Reused across nets: no allocation per net.
   for (const Net &N : Nets) {
     if (N.Output >= Wires.size())
       return fail("net output wire id out of range");
@@ -232,8 +233,7 @@ std::optional<std::string> Module::validate() const {
         return fail("net input wire id out of range");
     ++Drivers[N.Output];
 
-    std::vector<uint16_t> Widths;
-    Widths.reserve(N.Inputs.size());
+    Widths.clear();
     for (WireId In : N.Inputs)
       Widths.push_back(Wires[In].Width);
     std::optional<uint16_t> Result =

@@ -8,10 +8,12 @@
 
 #include "support/FailPoint.h"
 #include "support/Trace.h"
-#include "support/Wire.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <cctype>
+#include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -28,32 +30,161 @@ using namespace wiresort::parse;
 
 namespace {
 
-/// One whitespace-separated token with its source position.
+/// The BLIF whitespace set: exactly what std::isspace accepts in the "C"
+/// locale (space, \t, \n, \v, \f, \r), without the per-byte locale call.
+inline bool isBlifSpace(char C) {
+  return C == ' ' || (C >= '\t' && C <= '\r');
+}
+
+/// The BLIF line rules, the one place they live: cuts one physical
+/// line \p Raw (without its '\n') at its first '#', then drops one
+/// trailing '\r' (CRLF files: the continuation test must see the
+/// backslash, not the '\r' after it), then a trailing continuation
+/// backslash, which \p Continues reports. Only the tail is ever cut, so
+/// columns into the result are columns into the line.
+std::string_view lineBody(std::string_view Raw, bool &Continues) {
+  if (const void *Hash = std::memchr(Raw.data(), '#', Raw.size()))
+    Raw = Raw.substr(0, static_cast<const char *>(Hash) - Raw.data());
+  if (!Raw.empty() && Raw.back() == '\r')
+    Raw.remove_suffix(1);
+  Continues = !Raw.empty() && Raw.back() == '\\';
+  if (Continues)
+    Raw.remove_suffix(1);
+  return Raw;
+}
+
+/// \returns \p Line's first token, or an empty view.
+std::string_view firstToken(std::string_view Line) {
+  size_t B = 0;
+  while (B != Line.size() && isBlifSpace(Line[B]))
+    ++B;
+  size_t E = B;
+  while (E != Line.size() && !isBlifSpace(Line[E]))
+    ++E;
+  return Line.substr(B, E - B);
+}
+
+/// One physical line after the line rules.
+struct PhysLine {
+  std::string_view Body; ///< See lineBody.
+  size_t LineNo = 0;     ///< 1-based.
+  /// Ended in a backslash: the next physical line joins this logical one.
+  bool Continues = false;
+};
+
+/// Walks \p Text, whose first line is line \p StartLine, one physical
+/// line at a time through lineBody. Pass 1 reads every line through it;
+/// splitModelChunks applies the same lineBody to the few lines it needs,
+/// so a chunk boundary can never land inside a logical line Pass 1 would
+/// join.
+class LineScanner {
+public:
+  LineScanner(std::string_view Text, size_t StartLine)
+      : Text(Text), LineNo(StartLine - 1) {}
+
+  bool next(PhysLine &L) {
+    if (Pos >= Text.size())
+      return false;
+    size_t Stop = std::min(Text.find('\n', Pos), Text.size());
+    L.Body = lineBody(Text.substr(Pos, Stop - Pos), L.Continues);
+    L.LineNo = ++LineNo;
+    Pos = Stop + 1;
+    return true;
+  }
+
+private:
+  std::string_view Text;
+  size_t Pos = 0, LineNo;
+};
+
+/// One whitespace-separated token, a view into the parsed text, with its
+/// source position.
 struct BlifTok {
-  std::string Text;
+  std::string_view Text;
   size_t Line = 0;
   size_t Col = 0; // 1-based column of the token's first character.
 };
 
 /// Appends \p Line's tokens (with positions) to \p Out.
-void tokenizeInto(const std::string &Line, size_t LineNo,
+void tokenizeInto(std::string_view Line, size_t LineNo,
                   std::vector<BlifTok> &Out) {
-  size_t Pos = 0;
-  while (Pos < Line.size()) {
-    while (Pos < Line.size() &&
-           std::isspace(static_cast<unsigned char>(Line[Pos])))
-      ++Pos;
-    if (Pos >= Line.size())
-      break;
-    size_t Start = Pos;
-    while (Pos < Line.size() &&
-           !std::isspace(static_cast<unsigned char>(Line[Pos])))
-      ++Pos;
-    Out.push_back({Line.substr(Start, Pos - Start), LineNo, Start + 1});
+  const char *First = Line.data(), *P = First, *E = First + Line.size();
+  while (true) {
+    while (P != E && isBlifSpace(*P))
+      ++P;
+    if (P == E)
+      return;
+    const char *Start = P;
+    while (P != E && !isBlifSpace(*P))
+      ++P;
+    Out.push_back({std::string_view(Start, P - Start), LineNo,
+                   static_cast<size_t>(Start - First) + 1});
   }
 }
 
-/// One .subckt awaiting cross-model resolution.
+size_t hashName(std::string_view Name) {
+  return std::hash<std::string_view>{}(Name);
+}
+
+/// Name -> WireId for one model under construction: an open-addressed
+/// table of ids that compares against `Wires[Id].Name`. It holds no
+/// pointers, so copying it into or out of a cache entry is one flat
+/// vector copy.
+class NameIndex {
+public:
+  /// \returns the id indexed under \p Name (with hash \p H), or
+  /// InvalidId.
+  WireId find(const std::vector<Wire> &Wires, std::string_view Name,
+              size_t H) const {
+    if (Slots.empty())
+      return InvalidId;
+    uint32_t Tag = tagOf(H);
+    for (size_t I = Tag & mask();; I = (I + 1) & mask()) {
+      const Slot &S = Slots[I];
+      if (S.Id == InvalidId)
+        return InvalidId;
+      if (S.Tag == Tag && Wires[S.Id].Name == Name)
+        return S.Id;
+    }
+  }
+
+  /// Indexes \p Id, whose name (with hash \p H) must not be indexed yet.
+  void insert(WireId Id, size_t H) {
+    if ((Count + 1) * 2 > Slots.size())
+      grow();
+    place(Id, tagOf(H));
+    ++Count;
+  }
+
+private:
+  struct Slot {
+    WireId Id = InvalidId;
+    uint32_t Tag = 0; ///< Hash bits: probe start, rehash key, prefilter.
+  };
+  std::vector<Slot> Slots;
+  size_t Count = 0;
+
+  static uint32_t tagOf(size_t H) {
+    return static_cast<uint32_t>(H ^ (static_cast<uint64_t>(H) >> 32));
+  }
+  size_t mask() const { return Slots.size() - 1; }
+  void place(WireId Id, uint32_t Tag) {
+    size_t I = Tag & mask();
+    while (Slots[I].Id != InvalidId)
+      I = (I + 1) & mask();
+    Slots[I] = {Id, Tag};
+  }
+  void grow() {
+    std::vector<Slot> Old = std::move(Slots);
+    Slots.assign(Old.empty() ? 16 : Old.size() * 2, Slot{});
+    for (const Slot &S : Old)
+      if (S.Id != InvalidId)
+        place(S.Id, S.Tag);
+  }
+};
+
+/// One .subckt awaiting cross-model resolution. Owns its strings: a
+/// cache entry keeps it past the request whose text it came from.
 struct SubcktRec {
   std::string DefName;
   std::vector<std::pair<std::string, std::string>> Pairs;
@@ -64,29 +195,71 @@ struct SubcktRec {
 /// One .model under construction; wires are created on demand by name.
 struct ModelBuilder {
   Module M;
-  std::map<std::string, WireId> ByName;
-  std::set<WireId> Driven;
+  /// A finished leaf model (no .subckt), moved out of M by seal(). Pass 2
+  /// never changes a leaf, so cache entries and designs share its body
+  /// instead of copying it.
+  std::shared_ptr<Module> Leaf;
+  NameIndex ByName;
+  /// Driven[W] != 0 once W has a driver; sized lazily.
+  std::vector<uint8_t> Driven;
   std::vector<SubcktRec> Subckts;
   /// Position of the .model directive (for link-time diagnostics).
   size_t Line = 0;
   size_t Col = 0;
 
-  WireId wireFor(const std::string &Name) {
-    auto It = ByName.find(Name);
-    if (It != ByName.end())
-      return It->second;
-    WireId W = M.addWire(Name, WireKind::Basic, 1);
-    ByName[Name] = W;
+  WireId wireFor(std::string_view Name) {
+    size_t H = hashName(Name);
+    WireId W = ByName.find(M.Wires, Name, H);
+    if (W != InvalidId)
+      return W;
+    W = M.addWire(std::string(Name), WireKind::Basic, 1);
+    ByName.insert(W, H);
     return W;
+  }
+
+  /// Adds a port named \p Name; false if the name is already in use.
+  bool addPort(std::string_view Name, bool IsInput) {
+    size_t H = hashName(Name);
+    if (ByName.find(M.Wires, Name, H) != InvalidId)
+      return false;
+    WireId W = IsInput ? M.addInput(std::string(Name), 1)
+                       : M.addOutput(std::string(Name), 1);
+    ByName.insert(W, H);
+    return true;
+  }
+
+  /// Records a driver for \p W; false if it already had one.
+  bool markDriven(WireId W) {
+    if (W >= Driven.size())
+      Driven.resize(M.Wires.size(), 0);
+    if (Driven[W])
+      return false;
+    Driven[W] = 1;
+    return true;
+  }
+
+  const Module &body() const { return Leaf ? *Leaf : M; }
+
+  /// Moves a finished leaf model into Leaf, dropping the name index and
+  /// driven set that only .subckt resolution reads.
+  void seal() {
+    if (Leaf || !Subckts.empty())
+      return;
+    Leaf = std::make_shared<Module>(std::move(M));
+    ByName = NameIndex();
+    Driven = std::vector<uint8_t>();
   }
 };
 
 /// Pass 1 as a resumable line consumer, so the plain path (one machine
 /// over the whole file) and the chunk-cache path (one machine per
 /// uncached `.model` chunk) run exactly the same transitions. Chunk
-/// boundaries only ever fall on non-continued `.model` lines, where the
-/// machine is in its initial inter-model state — which is what makes a
-/// fresh Pass1 per chunk equivalent to the single pass.
+/// boundaries only ever fall on `.model` lines that start a logical
+/// line, where the machine is in its initial inter-model state — which
+/// is what makes a fresh Pass1 per chunk equivalent to the single pass.
+///
+/// Tokens are views into the text being parsed; everything Pass1 keeps
+/// (wire, model and subckt names, cover rows) is copied out of them.
 struct Pass1 {
   const std::string &FileName;
   std::vector<ModelBuilder> Models;
@@ -105,31 +278,24 @@ struct Pass1 {
     return false;
   }
 
-  /// Consumes one raw input line; false means Err is set.
-  bool line(std::string Raw, size_t LineNo) {
-    // Strip comments; honor trailing-backslash continuations.
-    size_t Hash = Raw.find('#');
-    if (Hash != std::string::npos)
-      Raw.resize(Hash);
-    bool Continue = !Raw.empty() && Raw.back() == '\\';
-    if (Continue)
-      Raw.pop_back();
+  /// Consumes one scanned physical line; false means Err is set.
+  bool line(const PhysLine &L) {
     if (!Continuing)
       Tok.clear();
-    tokenizeInto(Raw, LineNo, Tok);
-    Continuing = Continue;
+    tokenizeInto(L.Body, L.LineNo, Tok);
+    Continuing = L.Continues;
     if (Continuing)
       return true;
     if (Tok.empty())
       return true;
 
-    const std::string &Cmd = Tok[0].Text;
+    std::string_view Cmd = Tok[0].Text;
     if (Cmd == ".model") {
       if (Tok.size() != 2)
         return fail(Tok[0], ".model expects a name");
       Models.emplace_back();
       Cur = &Models.back();
-      Cur->M.Name = Tok[1].Text;
+      Cur->M.Name = std::string(Tok[1].Text);
       Cur->Line = Tok[0].Line;
       Cur->Col = Tok[0].Col;
       PendingLut = nullptr;
@@ -138,33 +304,24 @@ struct Pass1 {
     if (!Cur)
       return fail(Tok[0], "directive before .model");
 
-    if (Cmd == ".inputs") {
-      for (size_t I = 1; I != Tok.size(); ++I) {
-        if (Cur->ByName.count(Tok[I].Text))
-          return fail(Tok[I], "duplicate signal '" + Tok[I].Text + "'");
-        WireId W = Cur->M.addInput(Tok[I].Text, 1);
-        Cur->ByName[Tok[I].Text] = W;
-      }
-      PendingLut = nullptr;
-    } else if (Cmd == ".outputs") {
-      for (size_t I = 1; I != Tok.size(); ++I) {
-        if (Cur->ByName.count(Tok[I].Text))
-          return fail(Tok[I], "duplicate signal '" + Tok[I].Text + "'");
-        WireId W = Cur->M.addOutput(Tok[I].Text, 1);
-        Cur->ByName[Tok[I].Text] = W;
-      }
+    if (Cmd == ".inputs" || Cmd == ".outputs") {
+      bool IsInput = Cmd == ".inputs";
+      for (size_t I = 1; I != Tok.size(); ++I)
+        if (!Cur->addPort(Tok[I].Text, IsInput))
+          return fail(Tok[I],
+                      "duplicate signal '" + std::string(Tok[I].Text) + "'");
       PendingLut = nullptr;
     } else if (Cmd == ".names") {
       if (Tok.size() < 2)
         return fail(Tok[0], ".names expects at least an output");
       std::vector<WireId> Ins;
+      Ins.reserve(Tok.size() - 2);
       for (size_t I = 1; I + 1 < Tok.size(); ++I)
         Ins.push_back(Cur->wireFor(Tok[I].Text));
       WireId Out = Cur->wireFor(Tok.back().Text);
-      if (Cur->Driven.count(Out))
-        return fail(Tok.back(),
-                    "signal '" + Tok.back().Text + "' driven twice");
-      Cur->Driven.insert(Out);
+      if (!Cur->markDriven(Out))
+        return fail(Tok.back(), "signal '" + std::string(Tok.back().Text) +
+                                    "' driven twice");
       NetId Id = Cur->M.addNet(Op::Lut, std::move(Ins), Out);
       PendingLut = &Cur->M.Nets[Id];
     } else if (Cmd == ".latch") {
@@ -172,16 +329,17 @@ struct Pass1 {
         return fail(Tok[0], ".latch expects input and output");
       WireId D = Cur->wireFor(Tok[1].Text);
       WireId Q = Cur->wireFor(Tok[2].Text);
-      if (Cur->Driven.count(Q))
-        return fail(Tok[2], "signal '" + Tok[2].Text + "' driven twice");
-      Cur->Driven.insert(Q);
+      if (!Cur->markDriven(Q))
+        return fail(Tok[2],
+                    "signal '" + std::string(Tok[2].Text) + "' driven twice");
       if (Cur->M.Wires[Q].Kind == WireKind::Input)
-        return fail(Tok[2], "latch drives input '" + Tok[2].Text + "'");
+        return fail(Tok[2],
+                    "latch drives input '" + std::string(Tok[2].Text) + "'");
       if (Cur->M.Wires[Q].Kind == WireKind::Output) {
         // Latched output port: latch into an internal reg wire and
         // buffer it out to the port.
-        WireId Inner =
-            Cur->M.addWire(Tok[2].Text + "$latch", WireKind::Reg, 1);
+        WireId Inner = Cur->M.addWire(std::string(Tok[2].Text) + "$latch",
+                                      WireKind::Reg, 1);
         Cur->M.addNet(Op::Buf, {Inner}, Q);
         Q = Inner;
       } else {
@@ -189,7 +347,7 @@ struct Pass1 {
       }
       uint64_t Init = 0;
       // Optional trailing init value (possibly after "<type> <control>").
-      const std::string &Last = Tok.back().Text;
+      std::string_view Last = Tok.back().Text;
       if (Tok.size() > 3 && (Last == "0" || Last == "1"))
         Init = Last == "1" ? 1 : 0;
       Cur->M.addRegister(D, Q, Init);
@@ -198,16 +356,16 @@ struct Pass1 {
       if (Tok.size() < 2)
         return fail(Tok[0], ".subckt expects a model name");
       SubcktRec Rec;
-      Rec.DefName = Tok[1].Text;
+      Rec.DefName = std::string(Tok[1].Text);
       Rec.Line = Tok[0].Line;
       Rec.Col = Tok[0].Col;
       for (size_t I = 2; I != Tok.size(); ++I) {
-        size_t EqPos = Tok[I].Text.find('=');
-        if (EqPos == std::string::npos)
+        std::string_view Pair = Tok[I].Text;
+        size_t EqPos = Pair.find('=');
+        if (EqPos == std::string_view::npos)
           return fail(Tok[I],
-                      "malformed formal=actual '" + Tok[I].Text + "'");
-        Rec.Pairs.emplace_back(Tok[I].Text.substr(0, EqPos),
-                               Tok[I].Text.substr(EqPos + 1));
+                      "malformed formal=actual '" + std::string(Pair) + "'");
+        Rec.Pairs.emplace_back(Pair.substr(0, EqPos), Pair.substr(EqPos + 1));
       }
       Cur->Subckts.push_back(std::move(Rec));
       PendingLut = nullptr;
@@ -217,30 +375,60 @@ struct Pass1 {
       // A cover row for the pending .names.
       if (!PendingLut)
         return fail(Tok[0], "cover row outside .names");
-      std::string Plane = Tok.size() == 2 ? Tok[0].Text : "";
-      std::string Output = Tok.size() == 2 ? Tok[1].Text : Tok[0].Text;
+      std::string_view Plane = Tok.size() == 2 ? Tok[0].Text : "";
+      std::string_view Output = Tok.size() == 2 ? Tok[1].Text : Tok[0].Text;
       if (Output != "0" && Output != "1")
         return fail(Tok.back(), "cover output must be 0 or 1");
       if (Plane.size() != PendingLut->Inputs.size())
         return fail(Tok[0], "cover row arity mismatch");
-      PendingLut->Cover.push_back(Plane + Output);
+      std::string Row;
+      Row.reserve(Plane.size() + 1);
+      Row.append(Plane).append(Output);
+      PendingLut->Cover.push_back(std::move(Row));
     } else {
       // Unsupported directives (.clock, .exdc, ...) are rejected loudly:
       // silently skipping them could change semantics.
-      return fail(Tok[0], "unsupported directive '" + Cmd + "'");
+      return fail(Tok[0], "unsupported directive '" + std::string(Cmd) + "'");
     }
     return true;
   }
 };
 
+/// The copy of \p MB that Pass 2 works on, with lines shifted by
+/// \p Delta. A sealed leaf is shared, not copied: that is most of what a
+/// cache replay saves. A model that instantiates something is copied
+/// whole, since Pass 2 adds its instances and their wires.
+ModelBuilder pass2Copy(const ModelBuilder &MB, ptrdiff_t Delta) {
+  ModelBuilder W;
+  W.Line = MB.Line + Delta;
+  W.Col = MB.Col;
+  if (MB.Leaf) {
+    W.Leaf = MB.Leaf;
+    return W;
+  }
+  W.M = MB.M;
+  W.ByName = MB.ByName;
+  W.Driven = MB.Driven;
+  W.Subckts = MB.Subckts;
+  for (SubcktRec &Rec : W.Subckts)
+    Rec.Line += Delta;
+  return W;
+}
+
 /// One cached `.model` chunk: its exact bytes (the key check — a hash
 /// collision must cost a re-parse, never a wrong design), the line it
 /// was first parsed at, and the pristine pass-1 result. Pass 2 mutates
-/// working copies; entries stay untouched.
+/// working copies of instantiating models and shares the sealed leaves,
+/// which a design copies before any change (ir::Design is copy-on-write).
+/// Entries own everything they hold.
 struct CacheEntry {
   std::string Bytes;
   size_t StartLine = 1;
   std::vector<ModelBuilder> Models;
+  /// Set once a parse that used this chunk validated. Its leaf models
+  /// (no .subckt), which Pass 2 never changes, then pass every
+  /// per-module check on any later replay too.
+  mutable std::atomic<bool> LeavesValid{false};
 };
 
 /// One text region [Begin, End) starting at 1-based StartLine.
@@ -250,37 +438,64 @@ struct ChunkRef {
   size_t StartLine = 1;
 };
 
-/// Splits \p Text at non-continued `.model` lines. Mirrors exactly the
-/// comment-strip and backslash-continuation rules of Pass1::line, so a
-/// boundary never lands inside a logical line.
-std::vector<ChunkRef> splitModelChunks(const std::string &Text) {
-  std::vector<ChunkRef> Out;
-  size_t Pos = 0, LineNo = 1;
-  size_t CurBegin = 0, CurLine = 1;
-  bool PrevContinues = false;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    size_t Stop = Eol == std::string::npos ? Text.size() : Eol;
-    std::string_view Line(Text.data() + Pos, Stop - Pos);
-    size_t Hash = Line.find('#');
-    if (Hash != std::string_view::npos)
-      Line = Line.substr(0, Hash);
-    size_t P = 0;
-    while (P < Line.size() &&
-           std::isspace(static_cast<unsigned char>(Line[P])))
-      ++P;
-    bool IsModel =
-        Line.size() - P >= 6 && Line.compare(P, 6, ".model") == 0 &&
-        (P + 6 == Line.size() ||
-         std::isspace(static_cast<unsigned char>(Line[P + 6])));
-    if (IsModel && !PrevContinues && Pos != CurBegin) {
-      Out.push_back({CurBegin, Pos, CurLine});
-      CurBegin = Pos;
-      CurLine = LineNo;
+/// \returns the number of '\n' bytes in \p Text, eight bytes per step:
+/// a byte loop here would cost more than the split it serves.
+size_t countNewlines(std::string_view Text) {
+  constexpr uint64_t Ones = 0x0101010101010101ULL;
+  constexpr uint64_t Low7 = 0x7f7f7f7f7f7f7f7fULL;
+  const char *P = Text.data(), *E = P + Text.size();
+  size_t N = 0;
+  while (E - P >= 8) {
+    // Per-byte 0/1 flags summed bytewise; flushed before any byte can
+    // pass 255.
+    uint64_t Flags = 0;
+    for (int I = 0; I != 255 && E - P >= 8; ++I, P += 8) {
+      uint64_t W;
+      std::memcpy(&W, P, 8);
+      uint64_t X = W ^ (Ones * '\n'); // Zero bytes mark newlines.
+      Flags += (~(((X & Low7) + Low7) | X) & ~Low7) >> 7;
     }
-    PrevContinues = !Line.empty() && Line.back() == '\\';
-    Pos = Stop + 1;
-    ++LineNo;
+    for (int Byte = 0; Byte != 8; ++Byte)
+      N += (Flags >> (8 * Byte)) & 0xff;
+  }
+  for (; P != E; ++P)
+    N += *P == '\n';
+  return N;
+}
+
+/// Splits \p Text at `.model` lines that start a logical line: the
+/// line's first token is `.model` and the line before it does not
+/// continue. Boundaries are rare, so rather than reading every line this
+/// jumps between `.model` occurrences and applies lineBody to just the
+/// line each sits on and the line before it.
+std::vector<ChunkRef> splitModelChunks(std::string_view Text) {
+  std::vector<ChunkRef> Out;
+  size_t CurBegin = 0, CurLine = 1;
+  size_t Counted = 0, LineNo = 1; // LineNo is the line at offset Counted.
+  auto lineStart = [&](size_t At) {
+    size_t Nl = At == 0 ? std::string_view::npos : Text.rfind('\n', At - 1);
+    return Nl == std::string_view::npos ? 0 : Nl + 1;
+  };
+  bool Continues = false;
+  for (size_t At = Text.find(".model"); At != std::string_view::npos;) {
+    size_t Begin = lineStart(At);
+    size_t Stop = std::min(Text.find('\n', At), Text.size());
+    At = Text.find(".model", Stop);
+    if (Begin == CurBegin ||
+        firstToken(lineBody(Text.substr(Begin, Stop - Begin), Continues)) !=
+            ".model")
+      continue;
+    if (Begin != 0) {
+      size_t PrevBegin = lineStart(Begin - 1);
+      lineBody(Text.substr(PrevBegin, Begin - 1 - PrevBegin), Continues);
+      if (Continues)
+        continue;
+    }
+    LineNo += countNewlines(Text.substr(Counted, Begin - Counted));
+    Counted = Begin;
+    Out.push_back({CurBegin, Begin, CurLine});
+    CurBegin = Begin;
+    CurLine = LineNo;
   }
   Out.push_back({CurBegin, Text.size(), CurLine});
   return Out;
@@ -379,28 +594,30 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
   };
 
   // Feeds Text[Begin, End) to \p P line by line, numbering from
-  // StartLine. The deadline poll is once per line: a BLIF line is at
-  // most a few hundred bytes of tokenizing, so this bounds a runaway
-  // input without measurable cost (the parse.cancel failpoint simulates
-  // expiry deterministically).
+  // StartLine. The deadline poll is once per physical line: a BLIF line
+  // is at most a few hundred bytes of tokenizing, so this bounds a
+  // runaway input without measurable cost (the parse.cancel failpoint
+  // simulates expiry deterministically).
   auto eachLine = [&](size_t Begin, size_t End, size_t StartLine,
                       Pass1 &P) -> std::optional<Diag> {
-    size_t Pos = Begin, LineNo = StartLine - 1;
-    while (Pos < End) {
-      size_t Eol = Text.find('\n', Pos);
-      size_t Stop = Eol == std::string::npos || Eol >= End ? End : Eol;
-      ++LineNo;
+    LineScanner Lines(std::string_view(Text).substr(Begin, End - Begin),
+                      StartLine);
+    PhysLine L;
+    while (Lines.next(L)) {
       if (DL && (DL->expired() || WS_FAILPOINT("parse.cancel")))
-        return failAt(DiagCode::WS601_CANCELLED, LineNo, 0,
+        return failAt(DiagCode::WS601_CANCELLED, L.LineNo, 0,
                       "parse cancelled by deadline");
-      if (!P.line(Text.substr(Pos, Stop - Pos), LineNo))
+      if (!P.line(L))
         return *P.Err;
-      Pos = Stop + 1;
     }
     return std::nullopt;
   };
 
   std::vector<ModelBuilder> Models;
+  // Per model: replayed leaf already known valid (Design::validate may
+  // skip it). Plus every chunk entry this parse used, to mark on success.
+  std::vector<bool> KnownValid;
+  std::vector<std::shared_ptr<const CacheEntry>> Used;
   if (!Cache) {
     Pass1 P(FileName);
     if (auto E = eachLine(0, Text.size(), 1, P))
@@ -409,32 +626,21 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
   } else {
     for (const ChunkRef &C : splitModelChunks(Text)) {
       std::string_view Bytes(Text.data() + C.Begin, C.End - C.Begin);
-      uint64_t Key = support::wire::fnv1a(Bytes);
+      uint64_t Key = std::hash<std::string_view>{}(Bytes);
       if (auto E = Cache->I->find(Key, Bytes)) {
-        // Replay: copy the pristine models, rebasing source lines to
-        // where the chunk sits in *this* file so any later resolution
-        // diagnostic is byte-identical to an uncached parse.
+        // Replay: share the sealed leaves and copy the other pristine
+        // models, rebasing source lines to where the chunk sits in
+        // *this* file so any later resolution diagnostic is
+        // byte-identical to an uncached parse.
         ChunkHits.add(1);
         ptrdiff_t Delta = static_cast<ptrdiff_t>(C.StartLine) -
                           static_cast<ptrdiff_t>(E->StartLine);
+        bool Valid = E->LeavesValid.load(std::memory_order_acquire);
         for (const ModelBuilder &MB : E->Models) {
-          // Pass 2 only touches ByName/Driven/Subckts of models that
-          // instantiate something; for leaf models the Module copy is
-          // all a replay needs, and skipping the per-wire map/set
-          // copies is most of the warm-path win.
-          Models.emplace_back();
-          ModelBuilder &W = Models.back();
-          W.M = MB.M;
-          W.Line = MB.Line + Delta;
-          W.Col = MB.Col;
-          if (!MB.Subckts.empty()) {
-            W.ByName = MB.ByName;
-            W.Driven = MB.Driven;
-            W.Subckts = MB.Subckts;
-            for (SubcktRec &Rec : W.Subckts)
-              Rec.Line += Delta;
-          }
+          Models.push_back(pass2Copy(MB, Delta));
+          KnownValid.push_back(Valid && MB.Leaf);
         }
+        Used.push_back(std::move(E));
         continue;
       }
       ChunkMisses.add(1);
@@ -444,10 +650,17 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
       auto Entry = std::make_shared<CacheEntry>();
       Entry->Bytes = std::string(Bytes);
       Entry->StartLine = C.StartLine;
-      Entry->Models = P.Models; // pristine copy, pre-pass-2
+      Entry->Models.reserve(P.Models.size());
+      for (ModelBuilder &MB : P.Models) {
+        MB.seal();
+        Entry->Models.push_back(pass2Copy(MB, 0)); // pristine, pre-pass-2
+      }
+      Used.push_back(Entry);
       Cache->I->insert(Key, std::move(Entry));
-      for (ModelBuilder &MB : P.Models)
+      for (ModelBuilder &MB : P.Models) {
         Models.push_back(std::move(MB));
+        KnownValid.push_back(false);
+      }
     }
   }
 
@@ -455,17 +668,17 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
     return failAt(DiagCode::WS202_BLIF_STRUCTURE, 0, 0, "no .model found");
 
   // Second pass: resolve subcircuit references across models.
-  BlifFile Result;
   std::map<std::string, ModuleId> IdByName;
-  for (ModelBuilder &MB : Models) {
-    ModuleId Id = Result.Design.addModule(Module(MB.M.Name));
-    if (IdByName.count(MB.M.Name))
+  for (ModuleId Id = 0; Id != Models.size(); ++Id) {
+    const ModelBuilder &MB = Models[Id];
+    if (!IdByName.emplace(MB.body().Name, Id).second)
       return failAt(DiagCode::WS202_BLIF_STRUCTURE, MB.Line, MB.Col,
-                    "duplicate model '" + MB.M.Name + "'");
-    IdByName[MB.M.Name] = Id;
+                    "duplicate model '" + MB.body().Name + "'");
   }
-  for (size_t I = 0; I != Models.size(); ++I) {
-    ModelBuilder &MB = Models[I];
+  // Every .subckt resolves before any module moves into the design: a
+  // formal may name a port of a model anywhere in the file, earlier or
+  // later, or of the instantiating model itself.
+  for (ModelBuilder &MB : Models) {
     for (const SubcktRec &Rec : MB.Subckts) {
       auto It = IdByName.find(Rec.DefName);
       if (It == IdByName.end())
@@ -476,7 +689,7 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
       SubInstance Inst;
       Inst.Def = It->second;
       Inst.Name = Rec.DefName + "$" + std::to_string(MB.M.Instances.size());
-      const Module &Def = Models[It->second].M;
+      const Module &Def = Models[It->second].body();
       for (const auto &[Formal, Actual] : Rec.Pairs) {
         WireId Port = Def.findPort(Formal);
         if (Port == InvalidId)
@@ -484,22 +697,27 @@ support::Expected<BlifFile> parse::parseBlif(const std::string &Text,
                         "model '" + Rec.DefName + "' has no port '" +
                             Formal + "'");
         WireId Local = MB.wireFor(Actual);
-        if (Def.isOutput(Port)) {
-          if (MB.Driven.count(Local))
-            return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line,
-                          Rec.Col, "signal '" + Actual + "' driven twice");
-          MB.Driven.insert(Local);
-        }
+        if (Def.isOutput(Port) && !MB.markDriven(Local))
+          return failAt(DiagCode::WS202_BLIF_STRUCTURE, Rec.Line, Rec.Col,
+                        "signal '" + Actual + "' driven twice");
         Inst.Bindings.emplace_back(Port, Local);
       }
       MB.M.addInstance(std::move(Inst));
     }
-    Result.Design.module(IdByName[MB.M.Name]) = std::move(MB.M);
+  }
+  BlifFile Result;
+  for (ModelBuilder &MB : Models) {
+    if (MB.Leaf)
+      Result.Design.addModule(std::move(MB.Leaf));
+    else
+      Result.Design.addModule(std::move(MB.M));
   }
   Result.Top = 0; // Models are added in file order; the first is top.
 
-  if (auto Err = Result.Design.validate())
+  if (auto Err = Result.Design.validate(KnownValid))
     return failAt(DiagCode::WS202_BLIF_STRUCTURE, 0, 0, *Err);
+  for (const auto &E : Used)
+    E->LeavesValid.store(true, std::memory_order_release);
   return Result;
 }
 

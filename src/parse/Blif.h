@@ -46,7 +46,10 @@ struct BlifFile {
 /// diagnostics stay byte-identical to an uncached parse), a miss
 /// parses normally and populates the cache. A warm re-parse of an
 /// edited file therefore re-tokenizes only the edited models — the
-/// same dirtied-only contract the summary cache gives Stage 1.
+/// same dirtied-only contract the summary cache gives Stage 1. Replayed
+/// leaf models (no `.subckt`) are shared with the cache, not copied;
+/// ir::Design is copy-on-write, so editing the result never reaches
+/// the cache. Entries own their bytes: none views the parsed text.
 ///
 /// Thread-safe: concurrent parseBlif calls may share one cache.
 /// Bounded: past MaxEntries the least-recently-used chunks are evicted

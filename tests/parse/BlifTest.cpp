@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 using namespace wiresort;
 using namespace wiresort::analysis;
 using namespace wiresort::ir;
@@ -355,4 +358,154 @@ TEST(BlifTest, ParseCacheEvictsLeastRecentlyUsedNotWholesale) {
   EXPECT_EQ(Cache.misses(), 4u);
   EXPECT_EQ(AgainB->Design.module(AgainB->Top).Name, "b");
   EXPECT_EQ(Cache.size(), 2u);
+}
+
+TEST(BlifTest, LinksSubcktsAgainstModelsDeclaredInAnyOrder) {
+  // top -> mid -> leaf, declared top, leaf, mid: the leaf precedes its
+  // (non-first) instantiator. Every order of the non-top models must
+  // link, plain and through the chunk cache.
+  const char *Text = ".model top\n.inputs x\n.outputs y\n"
+                     ".subckt mid a=x y=y\n.end\n"
+                     ".model leaf\n.inputs a\n.outputs y\n"
+                     ".names a y\n0 1\n.end\n"
+                     ".model mid\n.inputs a\n.outputs y\n"
+                     ".subckt leaf a=a y=t\n.subckt leaf a=t y=y\n.end\n";
+  auto Plain = parseBlif(Text, "o.blif");
+  ASSERT_TRUE(Plain.hasValue()) << Plain.describe();
+  const Design &D = Plain->Design;
+  ASSERT_EQ(D.numModules(), 3u);
+  EXPECT_EQ(D.findModule("top"), Plain->Top);
+  const Module &Mid = D.module(D.findModule("mid"));
+  ASSERT_EQ(Mid.Instances.size(), 2u);
+  EXPECT_EQ(Mid.Instances[0].Def, D.findModule("leaf"));
+  EXPECT_EQ(Mid.Instances[1].Def, D.findModule("leaf"));
+
+  BlifParseCache Cache;
+  for (int Pass = 0; Pass != 2; ++Pass) { // cold, then replayed
+    auto Cached = parseBlif(Text, "o.blif", nullptr, &Cache);
+    ASSERT_TRUE(Cached.hasValue()) << Cached.describe();
+    EXPECT_EQ(writeBlif(Plain->Design, Plain->Top),
+              writeBlif(Cached->Design, Cached->Top));
+  }
+  EXPECT_EQ(Cache.hits(), 3u);
+}
+
+TEST(BlifTest, MutualRecursionIsReportedAsCyclic) {
+  const char *Text = ".model a\n.inputs x\n.outputs y\n"
+                     ".subckt b i=x o=y\n.end\n"
+                     ".model b\n.inputs i\n.outputs o\n"
+                     ".subckt a x=i y=o\n.end\n";
+  auto File = parseBlif(Text, "m.blif");
+  ASSERT_FALSE(File.hasValue());
+  const support::Diag &D = File.diags().firstError();
+  EXPECT_EQ(D.code(), support::DiagCode::WS202_BLIF_STRUCTURE);
+  EXPECT_NE(D.message().find("module instantiation is cyclic"),
+            std::string::npos)
+      << D.describe();
+}
+
+namespace {
+
+std::string toCrlf(const std::string &Lf) {
+  std::string Out;
+  for (char C : Lf) {
+    if (C == '\n')
+      Out += '\r';
+    Out += C;
+  }
+  return Out;
+}
+
+} // namespace
+
+TEST(BlifTest, CrlfFileMatchesItsLfTwin) {
+  // A continuation before CRLF is still a continuation: the verdict, the
+  // parsed design and the cache's chunk split match the LF file's. The
+  // second backslash glues a `.model` line into the logical line above
+  // it, so that line must not become a chunk boundary either.
+  const std::string Lf = ".model top\n.inputs x \\\n  z\n.outputs y\n"
+                         ".subckt inv a=x y=mid\n.subckt inv a=mid y=y\n"
+                         ".names z \\\n.model\n1 1\n.end\n"
+                         ".model inv\n.inputs a\n.outputs y\n"
+                         ".names a y\n0 1\n.end\n";
+  const std::string Crlf = toCrlf(Lf);
+  auto PlainLf = parseBlif(Lf, "t.blif");
+  auto PlainCrlf = parseBlif(Crlf, "t.blif");
+  ASSERT_TRUE(PlainLf.hasValue()) << PlainLf.describe();
+  ASSERT_TRUE(PlainCrlf.hasValue()) << PlainCrlf.describe();
+  EXPECT_EQ(PlainLf->Design.module(PlainLf->Top).Inputs.size(), 2u);
+  EXPECT_EQ(PlainLf->Design.numModules(), 2u);
+  EXPECT_EQ(writeBlif(PlainLf->Design, PlainLf->Top),
+            writeBlif(PlainCrlf->Design, PlainCrlf->Top));
+
+  BlifParseCache LfCache, CrlfCache;
+  auto CachedLf = parseBlif(Lf, "t.blif", nullptr, &LfCache);
+  auto CachedCrlf = parseBlif(Crlf, "t.blif", nullptr, &CrlfCache);
+  ASSERT_TRUE(CachedLf.hasValue()) << CachedLf.describe();
+  ASSERT_TRUE(CachedCrlf.hasValue()) << CachedCrlf.describe();
+  EXPECT_EQ(LfCache.misses(), 2u); // top (with the glued line) + inv
+  EXPECT_EQ(CrlfCache.misses(), LfCache.misses());
+  EXPECT_EQ(CrlfCache.size(), LfCache.size());
+  EXPECT_EQ(writeBlif(PlainCrlf->Design, PlainCrlf->Top),
+            writeBlif(CachedCrlf->Design, CachedCrlf->Top));
+}
+
+TEST(BlifTest, WhitespaceIsTheCLocaleSpaceSet) {
+  // Tokens split on exactly space, \t, \n, \v, \f and \r.
+  auto Spaced = parseBlif(".model m\n.inputs a b\n.outputs y\n"
+                          ".names a b y\n11 1\n.end\n");
+  auto Mixed = parseBlif(".model\tm\n.inputs\va\fb\r\n.outputs y\n"
+                         ".names a\t\vb \fy\n11\t1\n.end\n");
+  ASSERT_TRUE(Spaced.hasValue()) << Spaced.describe();
+  ASSERT_TRUE(Mixed.hasValue()) << Mixed.describe();
+  EXPECT_EQ(writeBlif(Spaced->Design, Spaced->Top),
+            writeBlif(Mixed->Design, Mixed->Top));
+}
+
+TEST(BlifTest, ParsedDesignOutlivesItsTextAndCache) {
+  // Nothing in a parse result or a cache entry may view the request's
+  // text: the serving layer frees it after each request.
+  BlifParseCache Cache;
+  std::optional<BlifFile> Kept;
+  {
+    std::string Text = ".model top\n.inputs x\n.outputs y\n"
+                       ".subckt inv a=x y=y\n.end\n"
+                       ".model inv\n.inputs a\n.outputs y\n"
+                       ".names a y\n0 1\n.end\n";
+    ASSERT_TRUE(parseBlif(Text, "k.blif", nullptr, &Cache).hasValue());
+    auto Replayed = parseBlif(Text, "k.blif", nullptr, &Cache);
+    ASSERT_TRUE(Replayed.hasValue()) << Replayed.describe();
+    Kept = std::move(*Replayed);
+    std::fill(Text.begin(), Text.end(), '#');
+  }
+  std::string Again = ".model top\n.inputs x\n.outputs y\n"
+                      ".subckt inv a=x y=y\n.end\n"
+                      ".model inv\n.inputs a\n.outputs y\n"
+                      ".names a y\n0 1\n.end\n";
+  auto Fresh = parseBlif(Again, "k.blif", nullptr, &Cache);
+  ASSERT_TRUE(Fresh.hasValue()) << Fresh.describe();
+  EXPECT_EQ(Cache.hits(), 4u);
+  EXPECT_EQ(writeBlif(Kept->Design, Kept->Top),
+            writeBlif(Fresh->Design, Fresh->Top));
+  EXPECT_EQ(Kept->Design.module(1).wire(0).Name, "a");
+}
+
+TEST(BlifTest, EditingAReplayedDesignLeavesTheCacheUntouched) {
+  // Replayed leaf models are shared with the cache; a mutable access
+  // copies the body first (ir::Design is copy-on-write).
+  const std::string Text = ".model top\n.inputs x\n.outputs y\n"
+                           ".subckt inv a=x y=y\n.end\n"
+                           ".model inv\n.inputs a\n.outputs y\n"
+                           ".names a y\n0 1\n.end\n";
+  BlifParseCache Cache;
+  auto First = parseBlif(Text, "w.blif", nullptr, &Cache);
+  ASSERT_TRUE(First.hasValue()) << First.describe();
+  const std::string Before = writeBlif(First->Design, First->Top);
+  First->Design.module(1).Name = "edited";
+  First->Design.module(1).Nets[0].Cover = {"11"};
+  auto Second = parseBlif(Text, "w.blif", nullptr, &Cache);
+  ASSERT_TRUE(Second.hasValue()) << Second.describe();
+  EXPECT_EQ(Cache.hits(), 2u);
+  EXPECT_EQ(writeBlif(Second->Design, Second->Top), Before);
+  EXPECT_EQ(First->Design.module(1).Name, "edited");
 }

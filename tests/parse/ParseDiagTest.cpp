@@ -105,6 +105,32 @@ TEST(ParseDiagTest, BlifUnsupportedDirective) {
   EXPECT_EQ(D.loc()->Col, 3u); // Past the indentation.
 }
 
+TEST(ParseDiagTest, BlifMissingPortIsReportedOnlyWhenMissing) {
+  // Declared top, leaf, mid (top -> mid -> leaf): mid's first .subckt
+  // binds real leaf ports, so the one diagnostic is for the second,
+  // which names a port leaf does not have.
+  Diag D = expectBlifDiag(".model top\n.inputs x\n.outputs y\n"
+                          ".subckt mid a=x y=y\n.end\n"
+                          ".model leaf\n.inputs a\n.outputs y\n"
+                          ".names a y\n0 1\n.end\n"
+                          ".model mid\n.inputs a\n.outputs y\n"
+                          ".subckt leaf a=a y=t\n"
+                          ".subckt leaf zz=t y=y\n.end\n",
+                          DiagCode::WS202_BLIF_STRUCTURE,
+                          "model 'leaf' has no port 'zz'", 16);
+  EXPECT_EQ(D.loc()->Col, 1u);
+}
+
+TEST(ParseDiagTest, BlifMutualRecursionIsCyclicNotAMissingPort) {
+  Diag D = expectBlifDiag(".model a\n.inputs x\n.outputs y\n"
+                          ".subckt b i=x o=y\n.end\n"
+                          ".model b\n.inputs i\n.outputs o\n"
+                          ".subckt a x=i y=o\n.end\n",
+                          DiagCode::WS202_BLIF_STRUCTURE,
+                          "module instantiation is cyclic", 0);
+  EXPECT_EQ(D.message().find("has no port"), std::string::npos);
+}
+
 TEST(ParseDiagTest, BlifEmptyInputIsAStructureError) {
   auto Result = parseBlif("# only a comment\n", "t.blif");
   ASSERT_FALSE(Result.hasValue());

@@ -23,6 +23,11 @@
 //    key *multiset* of a library is independent of the ModuleIds its
 //    modules happen to get; summaries matched by name carry identical
 //    port sets either way.
+//  * File-text declaration order: permuting the non-top `.model` chunks
+//    of a BLIF export moves neither the verdict nor any per-module
+//    summary, and a parse-cache replay of the permuted text equals a
+//    cold parse of it. Leaves then precede their instantiators, which
+//    is where a reader that links models in file order breaks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +36,9 @@
 #include "gen/Catalog.h"
 #include "gen/LoopInjector.h"
 #include "gen/MegaScale.h"
+#include "parse/Blif.h"
 #include "support/Diag.h"
+#include "synth/Lower.h"
 
 #include <gtest/gtest.h>
 
@@ -357,3 +364,127 @@ TEST(MetamorphicDeclarationOrder, KeyMultisetAndPortSetsInvariant) {
     EXPECT_EQ(S.SubSorts, It->second->SubSorts) << S.ModuleName;
   }
 }
+
+namespace {
+
+/// The `.model` chunks of writeBlif output, in file order (the writer
+/// starts every model at a `.model` line; the first is the top).
+std::vector<std::string> modelChunks(const std::string &Text) {
+  std::vector<std::string> Chunks;
+  size_t Begin = 0;
+  while (Begin < Text.size()) {
+    size_t Next = Text.find("\n.model ", Begin);
+    size_t End = Next == std::string::npos ? Text.size() : Next + 1;
+    Chunks.push_back(Text.substr(Begin, End - Begin));
+    Begin = End;
+  }
+  return Chunks;
+}
+
+/// Everything a design's verdict says, keyed by module name rather than
+/// by the ModuleIds file order hands out.
+struct NamedVerdict {
+  bool HasError = false;
+  std::vector<std::string> Diags; ///< Sorted code + message lines.
+  std::map<std::string, ModuleSummary> ByName;
+};
+
+NamedVerdict analyzeByName(const Design &D) {
+  CheckOptions Opts;
+  Opts.Threads = 1;
+  SummaryEngine Engine(Opts);
+  Summaries Out;
+  support::Status S = Engine.analyze(D, Out);
+  NamedVerdict V;
+  V.HasError = S.hasError();
+  for (const support::Diag &Dg : S)
+    V.Diags.push_back(std::string(support::diagCodeName(Dg.code())) + " " +
+                      Dg.message());
+  std::sort(V.Diags.begin(), V.Diags.end());
+  for (auto &[Id, Sum] : Out)
+    V.ByName.emplace(Sum.ModuleName, std::move(Sum));
+  return V;
+}
+
+/// Module-by-module equality of two parses of the same text: names by
+/// id, then every reachable body through the writer.
+void expectSameParse(const parse::BlifFile &A, const parse::BlifFile &B,
+                     const std::string &Trial) {
+  ASSERT_EQ(A.Design.numModules(), B.Design.numModules()) << Trial;
+  for (ModuleId Id = 0; Id != A.Design.numModules(); ++Id)
+    EXPECT_EQ(A.Design.module(Id).Name, B.Design.module(Id).Name)
+        << Trial << " module " << Id;
+  EXPECT_EQ(A.Top, B.Top) << Trial;
+  EXPECT_EQ(parse::writeBlif(A.Design, A.Top),
+            parse::writeBlif(B.Design, B.Top))
+      << Trial;
+}
+
+class FileOrderTrial : public ::testing::TestWithParam<uint32_t> {};
+
+} // namespace
+
+TEST_P(FileOrderTrial, NonTopModelOrderMovesNoVerdictNoSummary) {
+  const uint32_t Seed = GetParam();
+  Design D;
+  MegaScaleDesign G = buildMegaScale(D, ciParams(Seed));
+  synth::HierLowered Low = synth::lowerHierarchical(D, G.Top);
+  const std::string Text = parse::writeBlif(Low.Design, Low.Top);
+  const std::vector<std::string> Chunks = modelChunks(Text);
+  ASSERT_GE(Chunks.size(), 3u) << "seed " << Seed;
+
+  auto Orig = parse::parseBlif(Text, "orig.blif");
+  ASSERT_TRUE(Orig.hasValue()) << Orig.describe();
+  const NamedVerdict Want = analyzeByName(Orig->Design);
+  EXPECT_EQ(Want.HasError, ciParams(Seed).InjectLoop) << "seed " << Seed;
+
+  // The writer emits instantiators before the definitions they use, so
+  // the reversal puts every leaf first; the shuffle is a seeded mix.
+  std::vector<uint32_t> Reversed(Chunks.size() - 1);
+  std::iota(Reversed.rbegin(), Reversed.rend(), 1u);
+  std::vector<uint32_t> Shuffled(Chunks.size() - 1);
+  std::iota(Shuffled.begin(), Shuffled.end(), 1u);
+  lcgShuffle(Shuffled, Seed);
+
+  for (const auto &[Name, Order] :
+       {std::make_pair("reversed", Reversed),
+        std::make_pair("shuffled", Shuffled)}) {
+    const std::string Trial = "seed " + std::to_string(Seed) + " " + Name;
+    std::string Permuted = Chunks[0];
+    for (uint32_t I : Order)
+      Permuted += Chunks[I];
+
+    auto Perm = parse::parseBlif(Permuted, "perm.blif");
+    ASSERT_TRUE(Perm.hasValue()) << Trial << ": " << Perm.describe();
+    EXPECT_EQ(Perm->Design.module(Perm->Top).Name,
+              Orig->Design.module(Orig->Top).Name)
+        << Trial;
+
+    const NamedVerdict Got = analyzeByName(Perm->Design);
+    EXPECT_EQ(Got.HasError, Want.HasError) << Trial;
+    EXPECT_EQ(Got.Diags, Want.Diags) << Trial;
+    ASSERT_EQ(Got.ByName.size(), Want.ByName.size()) << Trial;
+    for (const auto &[Module, S] : Want.ByName) {
+      auto It = Got.ByName.find(Module);
+      ASSERT_TRUE(It != Got.ByName.end()) << Trial << " " << Module;
+      EXPECT_EQ(S.OutputPortSets, It->second.OutputPortSets)
+          << Trial << " " << Module;
+      EXPECT_EQ(S.InputPortSets, It->second.InputPortSets)
+          << Trial << " " << Module;
+      EXPECT_EQ(S.SubSorts, It->second.SubSorts) << Trial << " " << Module;
+    }
+
+    // A cache warmed on the original order replays every chunk of the
+    // permuted text; the replay must equal the cold parse exactly.
+    parse::BlifParseCache Cache;
+    ASSERT_TRUE(
+        parse::parseBlif(Text, "orig.blif", nullptr, &Cache).hasValue());
+    auto Replayed = parse::parseBlif(Permuted, "perm.blif", nullptr, &Cache);
+    ASSERT_TRUE(Replayed.hasValue()) << Trial << ": " << Replayed.describe();
+    EXPECT_EQ(Cache.hits(), Chunks.size()) << Trial;
+    expectSameParse(*Perm, *Replayed, Trial);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MegaScaleExports, FileOrderTrial,
+                         ::testing::Range<uint32_t>(0, 8));

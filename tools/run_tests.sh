@@ -36,7 +36,10 @@
 #      ordinary runs never touch, which is exactly where leaks and
 #      use-after-frees hide — plus the kernel suite, whose cross-ISA
 #      differential then runs every vector sweep variant's row-arena
-#      indexing under ASan;
+#      indexing under ASan, and the parse and driver suites: the BLIF
+#      reader tokenizes through string_views into the request's text and
+#      shares parsed leaf models between the parse cache and designs, so
+#      a view or a shared body that outlives its owner shows up here;
 #   7. the scale tier (docs/SCALE.md): the shard-differential,
 #      metamorphic, and generator-determinism suites (ctest label
 #      `scale`), a TSan rerun of the in-process shard paths, and a jq
@@ -199,7 +202,8 @@ ASAN_BUILD="$ROOT/build-asan"
   -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "$ASAN_BUILD" -j "$(nproc)" \
-  --target fault_soak_tests engine_tests support_tests kernel_tests
+  --target fault_soak_tests engine_tests support_tests kernel_tests \
+  parse_tests driver_tests
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
@@ -208,6 +212,8 @@ ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
 # including the partial-row tails at the 63/65/127/129/511/513 source
 # boundaries.
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/kernel_tests"
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/parse_tests"
+ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/driver_tests"
 
 echo
 echo "=== stage 7: scale tier — sharding determinism (docs/SCALE.md) ==="

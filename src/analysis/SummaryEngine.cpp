@@ -23,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include <fcntl.h>
@@ -169,6 +170,15 @@ struct Run {
   /// emitted in — the thread schedule can never reorder it.
   std::vector<support::DiagList> Loops;
   size_t Hits = 0, Inferred = 0, AscribedCount = 0;
+  /// In-flight key table of the pool path (cache enabled only): per key,
+  /// the module inferring it and the modules of the same key parked
+  /// behind it. Content-identical modules often become ready together;
+  /// without the table each would miss the cache and infer.
+  struct Claim {
+    ModuleId Claimant;
+    std::vector<ModuleId> Parked;
+  };
+  std::unordered_map<uint64_t, Claim> InFlight;
   /// Latched once the deadline fires (or engine.cancel injects); from
   /// then on no new module starts. Guarded by Mutex.
   bool CancelFlag = false;
@@ -223,11 +233,31 @@ struct Run {
     return Cheap::No;
   }
 
-  /// Marks \p Id finished and returns the dependents that became ready.
-  /// Caller holds Mutex.
+  /// Parks \p Id behind the in-flight claimant of its key, if any; it is
+  /// handed back by the claimant's finish(). Caller holds Mutex.
+  bool parkIfInFlight(ModuleId Id) {
+    auto It = InFlight.find(Keys[Id]);
+    if (It == InFlight.end())
+      return false;
+    It->second.Parked.push_back(Id);
+    return true;
+  }
+
+  /// Marks \p Id finished and returns the modules that became ready: its
+  /// dependents whose last definition this was, and, if \p Id claimed its
+  /// key, the modules parked behind it. Those retry from scratch: a hit
+  /// after a clean claimant, their own inference (and loop) otherwise —
+  /// exactly what the serial sweep does with them. Caller holds Mutex.
   std::vector<ModuleId> finish(ModuleId Id, State S) {
     States[Id] = S;
     std::vector<ModuleId> Ready;
+    if (!InFlight.empty()) {
+      auto It = InFlight.find(Keys[Id]);
+      if (It != InFlight.end() && It->second.Claimant == Id) {
+        Ready = std::move(It->second.Parked);
+        InFlight.erase(It);
+      }
+    }
     for (ModuleId Dep : Dependents[Id]) {
       // A dependent of an unsummarizable module can never be summarized
       // itself. Cancellation taints transitively as Cancelled (so the
@@ -445,6 +475,10 @@ SummaryEngine::analyzeShared(const Design &D,
                 Work.insert(Work.end(), Ready.begin(), Ready.end());
                 continue;
               }
+              // A follower of an in-flight key waits for the claimant
+              // rather than missing the cache and inferring it again.
+              if (R.Cache && R.parkIfInFlight(Id))
+                continue;
               if (Run::Cheap C = R.tryResolveCheaply(Id);
                   C != Run::Cheap::No) {
                 // Zero-width marker span: cheap resolutions cost ~no
@@ -459,6 +493,8 @@ SummaryEngine::analyzeShared(const Design &D,
                 Work.insert(Work.end(), Ready.begin(), Ready.end());
                 continue;
               }
+              if (R.Cache)
+                R.InFlight.emplace(Keys[Id], Run::Claim{Id, {}});
               ToInfer.push_back(Id);
             }
           }

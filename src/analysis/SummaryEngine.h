@@ -29,8 +29,12 @@
 /// of thread count or cache state. On loop-containing designs every
 /// module whose dependencies summarized cleanly is analyzed and its loop
 /// reported, sorted by module id — exactly the list serial analyzeDesign
-/// emits. The differential and property suites under tests/ enforce both
-/// halves of this contract.
+/// emits. EngineStats (and the engine.* trace counters) do not depend on
+/// thread count either: the pool path infers each cache key once, like
+/// the serial sweep, so a run that no deadline cuts short counts the
+/// same hits, misses and inferences at any thread count. The
+/// differential and property suites under tests/ enforce the summaries
+/// and diagnostics; SummaryEngineTest the counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,9 +68,11 @@ public:
   std::optional<ModuleSummary> lookup(uint64_t Key, ir::ModuleId Id,
                                       const std::string &Name);
 
-  /// Memoizes \p S under \p Key (first write wins; a racing duplicate
-  /// insert of the same key carries an identical summary by
-  /// construction).
+  /// Memoizes \p S under \p Key (first write wins). One analyze() never
+  /// inserts a key twice: its pool parks content-identical modules behind
+  /// the one inferring their key. A duplicate insert can still come from
+  /// concurrent analyzeShared() requests; it carries an identical summary
+  /// by construction.
   void insert(uint64_t Key, const ModuleSummary &S);
 
   size_t size() const;

@@ -76,6 +76,14 @@ Module makeCone(const std::string &Name, bool Twist) {
   return B.finish();
 }
 
+/// An engine with an explicit worker count, so a test covers the pool
+/// path whatever the machine's core count.
+EngineConfig withThreads(unsigned Threads) {
+  EngineConfig Cfg;
+  Cfg.Threads = Threads;
+  return Cfg;
+}
+
 } // namespace
 
 TEST(SummaryEngineTest, DiamondMatchesSerialAnalyzeDesign) {
@@ -112,24 +120,27 @@ TEST(SummaryEngineTest, DiamondSchedulesDependenciesBeforeDependents) {
 }
 
 TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {
-  Design D;
-  buildDiamond(D);
-  SummaryEngine Engine;
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    buildDiamond(D);
+    SummaryEngine Engine(withThreads(Threads));
 
-  engineAnalyzeOrDie(Engine, D);
-  const EngineStats &Cold = Engine.stats();
-  EXPECT_EQ(Cold.Modules, D.numModules());
-  // mid_b is content-identical to mid_a, so even the cold pass serves it
-  // from the cache.
-  EXPECT_EQ(Cold.Inferred, D.numModules() - 1);
-  EXPECT_EQ(Cold.CacheHits, 1u);
+    engineAnalyzeOrDie(Engine, D);
+    const EngineStats &Cold = Engine.stats();
+    EXPECT_EQ(Cold.Modules, D.numModules());
+    // mid_b is content-identical to mid_a, so even the cold pass serves it
+    // from the cache.
+    EXPECT_EQ(Cold.Inferred, D.numModules() - 1);
+    EXPECT_EQ(Cold.CacheHits, 1u);
 
-  engineAnalyzeOrDie(Engine, D);
-  const EngineStats &Warm = Engine.stats();
-  EXPECT_EQ(Warm.Inferred, 0u);
-  EXPECT_EQ(Warm.CacheHits, D.numModules());
-  // The cache holds one entry per distinct content.
-  EXPECT_EQ(Engine.cache().size(), D.numModules() - 1);
+    engineAnalyzeOrDie(Engine, D);
+    const EngineStats &Warm = Engine.stats();
+    EXPECT_EQ(Warm.Inferred, 0u);
+    EXPECT_EQ(Warm.CacheHits, D.numModules());
+    // The cache holds one entry per distinct content.
+    EXPECT_EQ(Engine.cache().size(), D.numModules() - 1);
+  }
 }
 
 TEST(SummaryEngineTest, RenamingIsKeyNeutralBodyEditIsNot) {
@@ -148,28 +159,31 @@ TEST(SummaryEngineTest, RenamingIsKeyNeutralBodyEditIsNot) {
 }
 
 TEST(SummaryEngineTest, LeafEditInvalidatesTransitiveInstantiators) {
-  Design D;
-  std::vector<ModuleId> Ids = buildDiamond(D);
-  SummaryEngine Engine;
-  engineAnalyzeOrDie(Engine, D);
-  std::vector<uint64_t> Before;
-  for (ModuleId Id : Ids)
-    Before.push_back(Engine.keyOf(Id));
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    std::vector<ModuleId> Ids = buildDiamond(D);
+    SummaryEngine Engine(withThreads(Threads));
+    engineAnalyzeOrDie(Engine, D);
+    std::vector<uint64_t> Before;
+    for (ModuleId Id : Ids)
+      Before.push_back(Engine.keyOf(Id));
 
-  // Edit the leaf: a summary-neutral pair of inverters off a constant.
-  Module &Leaf = D.module(Ids[0]);
-  WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
-  WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
-  Leaf.addNet(Op::Not, {C0}, W);
+    // Edit the leaf: a summary-neutral pair of inverters off a constant.
+    Module &Leaf = D.module(Ids[0]);
+    WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
+    WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
+    Leaf.addNet(Op::Not, {C0}, W);
 
-  engineAnalyzeOrDie(Engine, D);
-  // Everything re-keys (leaf body changed; the rest via sub-summary
-  // keys), so everything re-infers even though the summaries are
-  // unchanged.
-  for (size_t I = 0; I != Ids.size(); ++I)
-    EXPECT_NE(Engine.keyOf(Ids[I]), Before[I]) << "module " << I;
-  EXPECT_EQ(Engine.stats().CacheHits, 1u); // mid_b off fresh mid_a again.
-  EXPECT_EQ(Engine.stats().Inferred, D.numModules() - 1);
+    engineAnalyzeOrDie(Engine, D);
+    // Everything re-keys (leaf body changed; the rest via sub-summary
+    // keys), so everything re-infers even though the summaries are
+    // unchanged.
+    for (size_t I = 0; I != Ids.size(); ++I)
+      EXPECT_NE(Engine.keyOf(Ids[I]), Before[I]) << "module " << I;
+    EXPECT_EQ(Engine.stats().CacheHits, 1u); // mid_b off fresh mid_a again.
+    EXPECT_EQ(Engine.stats().Inferred, D.numModules() - 1);
+  }
 }
 
 TEST(SummaryEngineTest, KeysAreDesignIndependent) {
@@ -277,34 +291,37 @@ TEST(SummaryEngineTest, SidecarRoundTripWarmsAFreshEngine) {
 }
 
 TEST(SummaryEngineTest, MissingAndStaleSidecarsAreHarmless) {
-  Design D;
-  buildDiamond(D);
-  SummaryEngine Engine;
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    Design D;
+    buildDiamond(D);
+    SummaryEngine Engine(withThreads(Threads));
 
-  auto Missing = Engine.loadCache(
-      ::testing::TempDir() + "/does_not_exist.wsort", D);
-  ASSERT_TRUE(Missing.hasValue()) << Missing.describe();
-  EXPECT_EQ(Missing->Loaded, 0u);
+    auto Missing = Engine.loadCache(
+        ::testing::TempDir() + "/does_not_exist.wsort", D);
+    ASSERT_TRUE(Missing.hasValue()) << Missing.describe();
+    EXPECT_EQ(Missing->Loaded, 0u);
 
-  // A sidecar written for an older body: keys no longer match, so the
-  // entries load but never hit.
-  std::string Path = ::testing::TempDir() + "/summary_engine_stale.wsort";
-  Summaries Out = engineAnalyzeOrDie(Engine, D);
-  ASSERT_TRUE(Engine.saveCache(Path, D, Out).empty());
+    // A sidecar written for an older body: keys no longer match, so the
+    // entries load but never hit.
+    std::string Path = ::testing::TempDir() + "/summary_engine_stale.wsort";
+    Summaries Out = engineAnalyzeOrDie(Engine, D);
+    ASSERT_TRUE(Engine.saveCache(Path, D, Out).empty());
 
-  Design Edited;
-  std::vector<ModuleId> Ids = buildDiamond(Edited);
-  Module &Leaf = Edited.module(Ids[0]);
-  WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
-  WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
-  Leaf.addNet(Op::Not, {C0}, W);
+    Design Edited;
+    std::vector<ModuleId> Ids = buildDiamond(Edited);
+    Module &Leaf = Edited.module(Ids[0]);
+    WireId C0 = Leaf.addWire("edit_c", WireKind::Const, 1, 0);
+    WireId W = Leaf.addWire("edit_w", WireKind::Basic, 1);
+    Leaf.addNet(Op::Not, {C0}, W);
 
-  SummaryEngine Fresh;
-  auto Loaded = Fresh.loadCache(Path, Edited);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
-  engineAnalyzeOrDie(Fresh, Edited);
-  EXPECT_EQ(Fresh.stats().CacheHits, 1u); // Only the mid_a/mid_b share.
-  std::remove(Path.c_str());
+    SummaryEngine Fresh(withThreads(Threads));
+    auto Loaded = Fresh.loadCache(Path, Edited);
+    ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
+    engineAnalyzeOrDie(Fresh, Edited);
+    EXPECT_EQ(Fresh.stats().CacheHits, 1u); // Only the mid_a/mid_b share.
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(SummaryEngineTest, SidecarBlocksForOtherDesignsAreSkipped) {

@@ -55,7 +55,7 @@ inline GateLevelRun runGateLevel(const ir::Design &D, ir::ModuleId Id,
 
   ir::Design Flat;
   ir::ModuleId FlatId = Flat.addModule(Run.Gates);
-  analysis::CheckOptions SerialOpts;
+  analysis::EngineConfig SerialOpts;
   SerialOpts.Threads = 1;
   analysis::SummaryEngine Local(SerialOpts);
   analysis::SummaryEngine &E = Engine ? *Engine : Local;

@@ -72,7 +72,7 @@ struct FamilyResult {
 bool runProtocol(const Design &D, FamilyResult &R) {
   R.Modules = D.numModules();
 
-  CheckOptions SerialOpts;
+  EngineConfig SerialOpts;
   SerialOpts.Threads = 1;
   SummaryEngine Serial(SerialOpts);
   std::map<ModuleId, ModuleSummary> SerialOut;
@@ -81,7 +81,7 @@ bool runProtocol(const Design &D, FamilyResult &R) {
     return false;
   R.SerialCold = T.seconds();
 
-  CheckOptions ParallelOpts;
+  EngineConfig ParallelOpts;
   ParallelOpts.Threads = ParallelThreads;
   SummaryEngine Parallel(ParallelOpts);
   std::map<ModuleId, ModuleSummary> ParallelOut;
@@ -502,7 +502,7 @@ int main(int ArgC, char **ArgV) {
           gen::makeFifo({64, DepthLog2, /*Forwarding=*/true}));
       D.addModule(synth::lower(Tmp, Id));
     }
-    CheckOptions O;
+    EngineConfig O;
     O.Threads = 1;
     SummaryEngine Engine(O);
     std::map<ModuleId, ModuleSummary> Out;
@@ -619,7 +619,7 @@ int main(int ArgC, char **ArgV) {
       D.addModule(synth::lower(Tmp, Id));
     }
     auto coldRun = [&D] {
-      CheckOptions O;
+      EngineConfig O;
       O.Threads = 1;
       O.UseCache = false;
       SummaryEngine E(O);

@@ -15,25 +15,20 @@
 //    discharged early).
 //  * Mega-scale (docs/SCALE.md) — instance-count sweeps over the
 //    gen::MegaScale presets, 60 to 1M flattened instances: wall-clock of
-//    the full pipeline under the serial engine, the in-process sharded
-//    engine, and the fork-isolated sharded engine. Every sharded run is
-//    gated on producing *identical results* to the serial one —
-//    structurallyEqual summaries, byte-identical verdict NDJSON, same
-//    Stage-3 verdict — before its timing may be reported; a divergence
-//    fails the bench.
+//    Stage 1 under the serial engine and of the Stage-3 check of the
+//    top composition, which must come out well-connected.
 //
 // Also measures the ablation called out in DESIGN.md: pairwise vs SCC.
 //
 // `--json <path>` mirrors every table row into a machine-readable report
 // (BENCH_scalability.json at the repo root is a committed snapshot;
 // tools/run_bench.sh refreshes it), with the trace registry's counters
-// appended so shard.*/engine.* land next to the timings.
+// appended so wire.*/engine.* land next to the timings.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 
-#include "analysis/Sharded.h"
 #include "analysis/SortInference.h"
 #include "analysis/SummaryIO.h"
 #include "analysis/WellConnected.h"
@@ -52,44 +47,11 @@ using namespace wiresort::bench;
 using namespace wiresort::gen;
 using namespace wiresort::ir;
 
-namespace {
-
-/// The mega-scale identical-results gate: serial reference vs one
-/// sharded configuration. \returns false (with a stderr note) when any
-/// part of the determinism contract is violated.
-bool shardedMatchesSerial(const char *What,
-                          const support::Status &SerialVerdict,
-                          const std::map<ModuleId, ModuleSummary> &Serial,
-                          const support::Status &ShardVerdict,
-                          const std::map<ModuleId, ModuleSummary> &Shard) {
-  if (support::renderJson(SerialVerdict) !=
-      support::renderJson(ShardVerdict)) {
-    std::fprintf(stderr, "%s: verdict NDJSON diverges from serial\n", What);
-    return false;
-  }
-  if (Serial.size() != Shard.size()) {
-    std::fprintf(stderr, "%s: summary count %zu != serial %zu\n", What,
-                 Shard.size(), Serial.size());
-    return false;
-  }
-  for (const auto &[Id, S] : Serial) {
-    auto It = Shard.find(Id);
-    if (It == Shard.end() || !structurallyEqual(S, It->second)) {
-      std::fprintf(stderr, "%s: summary of module %u diverges\n", What,
-                   static_cast<unsigned>(Id));
-      return false;
-    }
-  }
-  return true;
-}
-
-} // namespace
-
 int main(int ArgC, char **ArgV) {
   bool Quick = quickMode(ArgC, ArgV);
   const std::string JsonOut = jsonPath(ArgC, ArgV);
   JsonReport Json;
-  // Metrics-only collection window: the shard.*/engine.* counters the
+  // Metrics-only collection window: the wire.*/engine.* counters the
   // sweeps below bump are appended to the JSON report at the end.
   trace::Session Metrics(trace::SessionOptions{"", /*CollectSpans=*/false});
 
@@ -207,16 +169,13 @@ int main(int ArgC, char **ArgV) {
                 "check)\n\n");
   }
 
-  // --- Mega-scale: flat-instance sweeps, serial vs sharded -----------------
+  // --- Mega-scale: flat-instance sweeps -----------------------------------
   // The flat instance count is what a monolithic checker would expand;
   // the engine's cost scales with unique modules plus hierarchy nodes.
-  // Every sharded timing below is valid only because the identical-
-  // results gate passed first.
-  std::printf("=== Mega-scale: serial vs sharded full pipeline "
-              "(docs/SCALE.md) ===\n\n");
+  std::printf("=== Mega-scale: full pipeline (docs/SCALE.md) ===\n\n");
   {
     Table T({"Preset", "Flat instances", "Modules", "Serial (ms)",
-             "Sharded x4 (ms)", "Fork x4 (ms)", "Stage-3 (ms)"});
+             "Stage-3 (ms)"});
     std::vector<std::string> Presets = {"ci", "10k", "100k"};
     if (!Quick) {
       Presets.push_back("100k-noc");
@@ -229,7 +188,7 @@ int main(int ArgC, char **ArgV) {
       Circuit Circ = buildMegaScaleCircuit(D, P);
 
       // Serial reference (cache off: every run measures cold work).
-      CheckOptions SerialOpts;
+      EngineConfig SerialOpts;
       SerialOpts.Threads = 1;
       SerialOpts.UseCache = false;
       SummaryEngine Serial(SerialOpts);
@@ -240,38 +199,10 @@ int main(int ArgC, char **ArgV) {
       if (SerialVerdict.hasError())
         return 1;
 
-      // In-process sharded, then fork-isolated sharded; both gated.
-      double ShardMs[2] = {0, 0};
-      const ShardOptions::Mode Modes[2] = {ShardOptions::Mode::InProcess,
-                                           ShardOptions::Mode::Fork};
-      const char *ModeName[2] = {"sharded x4", "fork x4"};
-      for (int M = 0; M != 2; ++M) {
-        ShardOptions SOpts;
-        SOpts.Shards = 4;
-        SOpts.ExecMode = Modes[M];
-        SOpts.Engine.UseCache = false;
-        ShardedEngine Sharded(SOpts);
-        std::map<ModuleId, ModuleSummary> Out;
-        Timer ShardT;
-        support::Status Verdict = Sharded.analyze(D, Out);
-        ShardMs[M] = ShardT.milliseconds();
-        if (!shardedMatchesSerial((Name + " " + ModeName[M]).c_str(),
-                                  SerialVerdict, Reference, Verdict, Out))
-          return 1;
-      }
-
-      // Stage-3 over the top composition: SCC verdict is the reference,
-      // the sharded pairwise checker must agree.
+      // Stage-3 over the top composition (loop-free presets).
       Timer CheckT;
       CircuitCheckResult Scc = checkCircuit(Circ, Reference);
       double CheckMs = CheckT.milliseconds();
-      CircuitCheckResult Sharded3 =
-          checkCircuitSharded(Circ, Reference, 4);
-      if (Scc.WellConnected != Sharded3.WellConnected) {
-        std::fprintf(stderr, "%s: sharded Stage-3 verdict diverges\n",
-                     Name.c_str());
-        return 1;
-      }
       if (!Scc.WellConnected)
         return 1;
 
@@ -280,8 +211,6 @@ int main(int ArgC, char **ArgV) {
       T.addRow({Name, Table::withCommas(Flat),
                 std::to_string(D.numModules()),
                 Table::secondsStr(SerialMs, 3),
-                Table::secondsStr(ShardMs[0], 3),
-                Table::secondsStr(ShardMs[1], 3),
                 Table::secondsStr(CheckMs, 3)});
       Json.beginRecord()
           .field("sweep", "mega_scale")
@@ -290,32 +219,27 @@ int main(int ArgC, char **ArgV) {
           .field("modules", static_cast<uint64_t>(D.numModules()))
           .field("fingerprint", fingerprint(D, Top))
           .field("serial_stage1_seconds", SerialMs / 1e3)
-          .field("sharded4_stage1_seconds", ShardMs[0] / 1e3)
-          .field("fork4_stage1_seconds", ShardMs[1] / 1e3)
           .field("stage3_seconds", CheckMs / 1e3);
     }
     T.print();
     std::printf("(cost tracks unique modules, not flat instances: the "
                 "paper's per-module summary factoring at 1M-instance "
-                "scale; sharded timings are gated on byte-identical "
-                "results)\n");
+                "scale)\n");
   }
 
-  // --- Shard-pipe throughput: framed wire records over a byte stream -------
-  // The fork workers stream their results to the coordinator as wire
-  // records flushed one at a time (docs/FORMATS.md, shard framing). This
-  // sweep isolates the codec cost from fork/scheduling noise: encode a
-  // mega-scale preset's summaries record by record — Writer::take() after
-  // every record, exactly the pipe's flush pattern — then drain the
-  // concatenated stream with a Reader, gated on decoding structurally
-  // equal summaries.
-  std::printf("\n=== Shard-pipe throughput: wire record codec "
+  // --- Wire throughput: framed summary records over a byte stream --------
+  // The summary codec every binary sidecar and cache entry goes through
+  // (docs/FORMATS.md), isolated from file I/O: encode a mega-scale
+  // preset's summaries record by record — Writer::take() after every
+  // record — then drain the concatenated stream with a Reader, gated on
+  // decoding structurally equal summaries.
+  std::printf("\n=== Wire throughput: summary record codec "
               "(docs/FORMATS.md) ===\n\n");
   {
     MegaScaleParams P = *megaScalePreset(Quick ? "ci" : "10k");
     Design D;
     buildMegaScale(D, P);
-    CheckOptions SerialOpts;
+    EngineConfig SerialOpts;
     SerialOpts.Threads = 1;
     SummaryEngine Serial(SerialOpts);
     std::map<ModuleId, ModuleSummary> Out;
@@ -328,13 +252,13 @@ int main(int ArgC, char **ArgV) {
     for (int Rep = 0; Rep != Reps; ++Rep) {
       Timer T2;
       support::wire::Writer W;
-      W.beginStream(support::wire::StreamKind::Shard, 1);
+      W.beginStream(support::wire::StreamKind::Summaries, 1);
       std::string Bytes = W.take();
       for (const auto &[Id, S] : Out) {
         W.beginRecord(support::wire::RecordKind::ModuleSummary);
         analysis::detail::encodeSummaryBody(W, D.module(Id), S);
         W.endRecord();
-        Bytes += W.take(); // One flush per record, as the pipe does.
+        Bytes += W.take(); // One flush per record.
       }
       W.finish();
       Bytes += W.take();
@@ -354,7 +278,7 @@ int main(int ArgC, char **ArgV) {
         if (It == support::wire::Reader::Item::End)
           break;
         if (It != support::wire::Reader::Item::Record) {
-          std::fprintf(stderr, "pipe throughput: damaged stream\n");
+          std::fprintf(stderr, "wire throughput: damaged stream\n");
           return 1;
         }
         if (Rec.Kind != support::wire::RecordKind::ModuleSummary)
@@ -363,7 +287,7 @@ int main(int ArgC, char **ArgV) {
         ModuleSummary S;
         std::string Why;
         if (!analysis::detail::decodeSummaryBody(C, D, S, Why)) {
-          std::fprintf(stderr, "pipe throughput: %s\n", Why.c_str());
+          std::fprintf(stderr, "wire throughput: %s\n", Why.c_str());
           return 1;
         }
         Decoded[S.Id] = std::move(S);
@@ -381,11 +305,11 @@ int main(int ArgC, char **ArgV) {
 
     const double Mb = double(Stream.size()) / 1e6;
     Table T({"Direction", "Records", "Bytes", "Best (ms)", "MB/s"});
-    T.addRow({"encode (worker side)", Table::withCommas(Out.size()),
+    T.addRow({"encode", Table::withCommas(Out.size()),
               Table::withCommas(Stream.size()),
               Table::secondsStr(EncodeS * 1e3, 3),
               Table::secondsStr(Mb / EncodeS, 1)});
-    T.addRow({"decode (coordinator side)", Table::withCommas(Out.size()),
+    T.addRow({"decode", Table::withCommas(Out.size()),
               Table::withCommas(Stream.size()),
               Table::secondsStr(DecodeS * 1e3, 3),
               Table::secondsStr(Mb / DecodeS, 1)});

@@ -133,13 +133,6 @@ public:
   SummaryEngine() = default;
   explicit SummaryEngine(EngineConfig Cfg) : Cfg(Cfg) {}
 
-  /// Deprecated: construct from the flat pre-split options aggregate.
-  /// Takes the engine-facing half; TimeoutMs is honored by the
-  /// three-argument analyze() for compatibility. Goes away with
-  /// CheckOptions itself.
-  explicit SummaryEngine(const CheckOptions &Opts)
-      : Cfg(Opts.engine()), LegacyTimeoutMs(Opts.TimeoutMs) {}
-
   /// Engine configuration this instance was built with.
   const EngineConfig &config() const { return Cfg; }
 
@@ -187,22 +180,11 @@ public:
   /// Pure key computation: structuralHash of each module body folded
   /// with the keys of its instantiated definitions in instance order
   /// (ascribed modules key on summary content). The one key function
-  /// shared — by construction, not convention — between analyze paths,
-  /// the ShardedEngine, and saveCache.
+  /// shared — by construction, not convention — between analyze paths
+  /// and saveCache.
   static std::vector<uint64_t>
   computeKeys(const ir::Design &D,
               const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {});
-
-  /// Computes and retains (for keyOf/saveCache) the cache key of every
-  /// module of \p D: structuralHash of the body folded with the keys of
-  /// the instantiated definitions in instance order; ascribed modules
-  /// key on their summary content instead. analyze() calls this itself;
-  /// it is public so the ShardedEngine (analysis/Sharded.h) shares the
-  /// exact same key computation — and therefore byte-identical saveCache
-  /// output — without running the in-process scheduler.
-  const std::vector<uint64_t> &
-  primeKeys(const ir::Design &D,
-            const std::map<ir::ModuleId, ModuleSummary> &Ascribed = {});
 
   /// Counters for the most recent analyze() call.
   const EngineStats &stats() const { return Stats; }
@@ -263,9 +245,6 @@ public:
 
 private:
   EngineConfig Cfg;
-  /// Timeout carried over from a deprecated CheckOptions construction;
-  /// honored only by the three-argument analyze(). Dies with the shim.
-  uint64_t LegacyTimeoutMs = 0;
   SummaryCache Cache;
   EngineStats Stats;
   /// Per-module cache keys of the last analyzed design.

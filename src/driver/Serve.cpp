@@ -23,9 +23,10 @@ namespace {
 
 /// Serve payload schema version carried by the StreamBegin record
 /// (docs/SERVING.md). The framing versions separately (wire format v1).
-/// Still 1: the status byte grew values additively (Busy/TimedOut) and
-/// old decoders fail closed on them, which is the contract.
-constexpr uint64_t ServePayloadVersion = 1;
+/// 2: the request body lost v1's three shard varints. Readers accept
+/// exactly this version — a v1 body would misdecode field by field, so
+/// every other version is refused rather than guessed at.
+constexpr uint64_t ServePayloadVersion = 2;
 
 /// Request flag bits (one byte on the wire).
 enum : uint8_t {
@@ -94,9 +95,10 @@ bool readServeStream(wire::RecordKind Want, wire::Reader &R,
         Why = "not a serve stream (wrong stream kind)";
         return false;
       }
-      if (Version > ServePayloadVersion) {
+      if (Version != ServePayloadVersion) {
         Why = "serve protocol version " + std::to_string(Version) +
-              " is newer than this build understands";
+              " is not the version this build speaks (" +
+              std::to_string(ServePayloadVersion) + ")";
         return false;
       }
       SawBegin = true;
@@ -152,9 +154,6 @@ std::string driver::encodeRequest(Method M, const CheckRequest &R) {
   W.putByte(Flags);
   W.putVarint(R.Req.TimeoutMs);
   W.putVarint(R.Req.FaultSeed);
-  W.putVarint(R.Shards);
-  W.putVarint(R.SliceShard);
-  W.putVarint(R.SliceOf);
   W.putString(R.DesignPath);
   W.putString(R.DesignName);
   W.putString(R.Req.CachePath);
@@ -179,12 +178,11 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
     return false;
   wire::Reader::Cursor C(Rec, Reader);
   uint8_t Meth = 0, Fmt = 0, Flags = 0;
-  uint64_t TimeoutMs = 0, Seed = 0, Shards = 0, SliceShard = 0, SliceOf = 0;
+  uint64_t TimeoutMs = 0, Seed = 0;
   std::string_view DesignPath, DesignName, CachePath, TraceOut, Failpoints,
       SummariesOut, CheckPath, DotPath, ConvertIn, DesignText, CheckText;
   if (!C.getByte(Meth) || !C.getByte(Fmt) || !C.getByte(Flags) ||
-      !C.getVarint(TimeoutMs) || !C.getVarint(Seed) || !C.getVarint(Shards) ||
-      !C.getVarint(SliceShard) || !C.getVarint(SliceOf) ||
+      !C.getVarint(TimeoutMs) || !C.getVarint(Seed) ||
       !C.getString(DesignPath) || !C.getString(DesignName) ||
       !C.getString(CachePath) || !C.getString(TraceOut) ||
       !C.getString(Failpoints) || !C.getString(SummariesOut) ||
@@ -214,9 +212,6 @@ bool driver::decodeRequest(std::string_view Bytes, Method &M, CheckRequest &R,
   R.Req.Stats = Flags & FlagStats;
   R.Req.TimeoutMs = TimeoutMs;
   R.Req.FaultSeed = Seed;
-  R.Shards = static_cast<unsigned>(Shards);
-  R.SliceShard = static_cast<unsigned>(SliceShard);
-  R.SliceOf = static_cast<unsigned>(SliceOf);
   R.DesignPath = std::string(DesignPath);
   R.DesignName = std::string(DesignName);
   R.Req.CachePath = std::string(CachePath);
@@ -491,10 +486,6 @@ std::string Server::handle(std::string_view RequestBytes) {
   switch (M) {
   case Method::Check:
   case Method::Ascribe: {
-    // Fork-mode shard workers are unsafe in a threaded process
-    // (support/Process.h); requests degrade to in-process shards,
-    // byte-identically (analysis/Sharded.h determinism contract).
-    R.AllowFork = false;
     // Thread the drain kill through the run: a bounded drain cancels
     // stragglers cooperatively (WS601, exit 3, fail closed).
     R.Cancel = DrainKill;

@@ -89,7 +89,7 @@ TEST(CrashRecoveryTest, InterruptedSaveLeavesThePreviousCacheIntact) {
 
   // A healthy first save: this is the "previous cache" the crash must
   // not damage.
-  CheckOptions Serial;
+  EngineConfig Serial;
   Serial.Threads = 1;
   SummaryEngine Engine(Serial);
   Summaries Out;
@@ -179,7 +179,7 @@ TEST(CrashRecoveryTest, InterruptedMigrationLeavesTheV2CacheUntouched) {
   std::remove(Path.c_str());
   std::remove(Tmp.c_str());
 
-  CheckOptions Serial;
+  EngineConfig Serial;
   Serial.Threads = 1;
   SummaryEngine Engine(Serial);
   Summaries Out;
@@ -246,7 +246,7 @@ TEST(CrashRecoveryTest, InterruptedFirstSaveLeavesNoCacheAtAll) {
   std::remove(Path.c_str());
   std::remove(Tmp.c_str());
 
-  CheckOptions Serial;
+  EngineConfig Serial;
   Serial.Threads = 1;
   SummaryEngine Engine(Serial);
   Summaries Out;

@@ -94,7 +94,7 @@ TEST(SummaryEngineTest, DiamondMatchesSerialAnalyzeDesign) {
     Summaries Reference;
     ASSERT_FALSE(analyzeDesign(D, Reference).hasError());
 
-    CheckOptions Opts;
+    EngineConfig Opts;
     Opts.Threads = Threads;
     SummaryEngine Engine(Opts);
     Summaries Out = engineAnalyzeOrDie(Engine, D);
@@ -216,7 +216,7 @@ TEST(SummaryEngineTest, KeysAreDesignIndependent) {
 TEST(SummaryEngineTest, DisabledCacheNeverHits) {
   Design D;
   buildDiamond(D);
-  CheckOptions Opts;
+  EngineConfig Opts;
   Opts.UseCache = false;
   SummaryEngine Engine(Opts);
   Summaries First = engineAnalyzeOrDie(Engine, D);
@@ -256,7 +256,7 @@ TEST(SummaryEngineTest, LoopVerdictMatchesSerialDiagnostic) {
     wiresort::support::Status Serial = analyzeDesign(D, Reference);
     ASSERT_TRUE(Serial.hasError());
 
-    CheckOptions Opts;
+    EngineConfig Opts;
     Opts.Threads = Threads;
     SummaryEngine Engine(Opts);
     Summaries Out;

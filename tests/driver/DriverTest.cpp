@@ -11,8 +11,8 @@
 //  * caret echoes are keyed per request/file: concurrent residents never
 //    echo one request's source under another request's diagnostic;
 //  * the serve codecs round-trip every request field and fail *closed* on
-//    any framing damage — a torn or bit-flipped message is never
-//    half-decoded into a verdict;
+//    any framing damage or foreign payload version — a torn, bit-flipped
+//    or old-layout message is never half-decoded into a verdict;
 //  * an in-process Server speaks the full protocol end to end: golden
 //    check bytes, stats, rejection of garbage, response-drop/truncate
 //    fault sites, clean shutdown with the socket file unlinked.
@@ -24,6 +24,7 @@
 
 #include "support/FailPoint.h"
 #include "support/Socket.h"
+#include "support/Wire.h"
 
 #include <gtest/gtest.h>
 
@@ -223,9 +224,6 @@ TEST(Serve, CodecRoundTripsEveryRequestField) {
   R.HasInlineCheckText = true;
   R.Quiet = true;
   R.ShowDepth = true;
-  R.Shards = 4;
-  R.SliceShard = 1;
-  R.SliceOf = 8;
 
   std::string Bytes = encodeRequest(Method::Ascribe, R);
   Method M = Method::Check;
@@ -253,11 +251,52 @@ TEST(Serve, CodecRoundTripsEveryRequestField) {
   EXPECT_EQ(D.HasInlineCheckText, R.HasInlineCheckText);
   EXPECT_EQ(D.Quiet, R.Quiet);
   EXPECT_EQ(D.ShowDepth, R.ShowDepth);
-  EXPECT_EQ(D.Shards, R.Shards);
-  EXPECT_EQ(D.SliceShard, R.SliceShard);
-  EXPECT_EQ(D.SliceOf, R.SliceOf);
-  // The daemon decides fork policy; it never travels on the wire.
-  EXPECT_TRUE(D.AllowFork);
+}
+
+TEST(Serve, CodecRefusesEveryOtherPayloadVersion) {
+  // A v1 request body carried three more varints after the fault seed,
+  // so decoding it field by field would shift every string after them.
+  // The stream stamp decides: only the current version is read at all.
+  auto request = [](uint64_t Version, bool V1Body) {
+    support::wire::Writer W;
+    W.beginStream(support::wire::StreamKind::Serve, Version);
+    W.beginRecord(support::wire::RecordKind::ServeRequest);
+    W.putByte(static_cast<uint8_t>(Method::Check));
+    W.putByte(static_cast<uint8_t>(analysis::Format::Json));
+    W.putByte(0); // No flags.
+    W.putVarint(0); // Timeout.
+    W.putVarint(0); // Fault seed.
+    if (V1Body)
+      for (int I = 0; I != 3; ++I)
+        W.putVarint(0);
+    W.putString("top.blif"); // Design path.
+    for (int I = 0; I != 8; ++I)
+      W.putString("");
+    W.putBytes("");
+    W.putBytes("");
+    W.endRecord();
+    W.finish();
+    return W.take();
+  };
+  Method M;
+  CheckRequest D;
+  std::string Why;
+
+  // Control: the current layout under the current stamp decodes.
+  ASSERT_TRUE(decodeRequest(request(2, /*V1Body=*/false), M, D, Why)) << Why;
+  EXPECT_EQ(D.DesignPath, "top.blif");
+
+  // A v1 client's request, and any other stamp, is refused by version
+  // before a field is read.
+  EXPECT_FALSE(decodeRequest(request(1, /*V1Body=*/true), M, D, Why));
+  EXPECT_NE(Why.find("version 1"), std::string::npos) << Why;
+  for (uint64_t Version : {0u, 3u}) {
+    EXPECT_FALSE(decodeRequest(request(Version, false), M, D, Why))
+        << "version " << Version;
+    EXPECT_NE(Why.find("version " + std::to_string(Version)),
+              std::string::npos)
+        << Why;
+  }
 }
 
 TEST(Serve, CodecFailsClosedOnFramingDamage) {

@@ -7,9 +7,10 @@
 //    flat synthesis (synth::lower) followed by netlist cycle detection,
 //    on naturally-looping random circuits and on LoopInjector-mutated
 //    rings (always looped) and open chains (never looped).
-//  * Determinism — parallel inference is structurally identical to
-//    serial, and cache hits (warm re-runs, disabled cache, cross-run
-//    sharing) never change a summary or a verdict.
+//  * Determinism — parallel inference at threads {1, 2, 4, hw} is
+//    structurally identical to serial, and cache hits (warm re-runs,
+//    disabled cache, cross-run sharing) never change a summary or a
+//    verdict.
 //
 // A failing trial re-runs itself on shrunken copies of the circuit
 // (instances dropped from the tail) and reports the smallest
@@ -20,6 +21,7 @@
 
 #include "analysis/SummaryEngine.h"
 
+#include "ThreadCounts.h"
 #include "analysis/Reachability.h"
 #include "analysis/SortInference.h"
 #include "gen/LoopInjector.h"
@@ -72,7 +74,7 @@ bool verdictsAgree(uint32_t Seed, uint16_t InstanceCap, unsigned Threads) {
   Circuit Circ = buildTrial(D, Seed, InstanceCap);
   ModuleId Top = Circ.seal();
 
-  CheckOptions Opts;
+  EngineConfig Opts;
   Opts.Threads = Threads;
   SummaryEngine Engine(Opts);
   Summaries Out;
@@ -100,7 +102,7 @@ class KernelOracleTrial : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(DifferentialTrial, EngineVerdictEqualsFlattenedCycleDetect) {
   const uint32_t Seed = GetParam();
-  for (unsigned Threads : {1u, 4u}) {
+  for (unsigned Threads : differentialThreadCounts()) {
     if (verdictsAgree(Seed, /*InstanceCap=*/0xffff, Threads))
       continue;
     uint16_t MinCap = shrinkInstanceCap(Seed, Threads);
@@ -154,7 +156,7 @@ TEST_P(DeterminismTrial, ParallelAndCachedRunsAreStructurallyIdentical) {
   Circ.seal();
 
   // Baseline: serial engine, cache off — pure repeated inference.
-  CheckOptions SerialOpts;
+  EngineConfig SerialOpts;
   SerialOpts.Threads = 1;
   SerialOpts.UseCache = false;
   SummaryEngine Serial(SerialOpts);
@@ -180,34 +182,37 @@ TEST_P(DeterminismTrial, ParallelAndCachedRunsAreStructurallyIdentical) {
     }
   }
 
-  // Parallel cold, then warm (all cache hits), then a fresh engine warmed
-  // through a shared cache run: all must be structurally identical to the
-  // serial reference, verdict included.
-  CheckOptions ParallelOpts;
-  ParallelOpts.Threads = 4;
-  SummaryEngine Parallel(ParallelOpts);
-  for (const char *Phase : {"parallel cold", "parallel warm"}) {
-    Summaries Out;
-    support::Status Verdict = Parallel.analyze(D, Out);
-    ASSERT_EQ(Verdict.hasError(), SerialVerdict.hasError())
-        << "seed " << Seed << " " << Phase;
-    EXPECT_EQ(Verdict, SerialVerdict)
-        << "seed " << Seed << " " << Phase << "\nparallel:\n"
-        << Verdict.describe() << "\nserial:\n" << SerialVerdict.describe();
-    // Structural equality is necessary; the CLI contract needs more —
-    // the rendered NDJSON must be byte-identical across schedules.
-    EXPECT_EQ(support::renderJson(Verdict),
-              support::renderJson(SerialVerdict))
-        << "seed " << Seed << " " << Phase;
-    ASSERT_EQ(Out.size(), Reference.size())
-        << "seed " << Seed << " " << Phase;
-    for (const auto &[Id, S] : Reference)
-      EXPECT_TRUE(structurallyEqual(S, Out.at(Id)))
-          << "seed " << Seed << " " << Phase << " module " << Id;
-  }
-  if (!SerialVerdict.hasError()) {
-    EXPECT_EQ(Parallel.stats().CacheHits, Reference.size())
-        << "warm re-run must be all hits (seed " << Seed << ")";
+  // At every thread count: cold, then warm (all cache hits). Both must
+  // be structurally identical to the serial reference, verdict included.
+  for (unsigned Threads : differentialThreadCounts()) {
+    EngineConfig ParallelOpts;
+    ParallelOpts.Threads = Threads;
+    SummaryEngine Parallel(ParallelOpts);
+    for (const char *Phase : {"cold", "warm"}) {
+      const std::string Trial = "seed " + std::to_string(Seed) +
+                                " threads " + std::to_string(Threads) +
+                                " " + Phase;
+      Summaries Out;
+      support::Status Verdict = Parallel.analyze(D, Out);
+      ASSERT_EQ(Verdict.hasError(), SerialVerdict.hasError()) << Trial;
+      EXPECT_EQ(Verdict, SerialVerdict)
+          << Trial << "\nparallel:\n"
+          << Verdict.describe() << "\nserial:\n" << SerialVerdict.describe();
+      // Structural equality is necessary; the CLI contract needs more —
+      // the rendered NDJSON must be byte-identical across schedules.
+      EXPECT_EQ(support::renderJson(Verdict),
+                support::renderJson(SerialVerdict))
+          << Trial;
+      ASSERT_EQ(Out.size(), Reference.size()) << Trial;
+      for (const auto &[Id, S] : Reference)
+        EXPECT_TRUE(structurallyEqual(S, Out.at(Id)))
+            << Trial << " module " << Id;
+    }
+    if (!SerialVerdict.hasError()) {
+      EXPECT_EQ(Parallel.stats().CacheHits, Reference.size())
+          << "warm re-run must be all hits (seed " << Seed << " threads "
+          << Threads << ")";
+    }
   }
 }
 
@@ -233,7 +238,7 @@ TEST(DeterminismTest, EveryLoopedModuleReportedOnceSortedByModuleId) {
     }
   }
 
-  CheckOptions SerialOpts;
+  EngineConfig SerialOpts;
   SerialOpts.Threads = 1;
   SummaryEngine Serial(SerialOpts);
   Summaries SerialOut;
@@ -248,15 +253,18 @@ TEST(DeterminismTest, EveryLoopedModuleReportedOnceSortedByModuleId) {
   // The loop-free module still got its summary.
   EXPECT_TRUE(SerialOut.count(Ids[1]));
 
-  CheckOptions ParallelOpts;
-  ParallelOpts.Threads = 4;
-  SummaryEngine Parallel(ParallelOpts);
-  for (const char *Phase : {"parallel cold", "parallel warm"}) {
-    Summaries Out;
-    support::Status Verdict = Parallel.analyze(D, Out);
-    EXPECT_EQ(Verdict, Reference) << Phase;
-    EXPECT_EQ(support::renderJson(Verdict), support::renderJson(Reference))
-        << Phase;
+  for (unsigned Threads : differentialThreadCounts()) {
+    EngineConfig ParallelOpts;
+    ParallelOpts.Threads = Threads;
+    SummaryEngine Parallel(ParallelOpts);
+    for (const char *Phase : {"cold", "warm"}) {
+      SCOPED_TRACE("threads " + std::to_string(Threads) + " " + Phase);
+      Summaries Out;
+      support::Status Verdict = Parallel.analyze(D, Out);
+      EXPECT_EQ(Verdict, Reference);
+      EXPECT_EQ(support::renderJson(Verdict),
+                support::renderJson(Reference));
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 //===- tests/property/MetamorphicTest.cpp - Naming/order invariance -------===//
 //
-// Part of the wiresort project. Metamorphic counterpart to the shard
-// differential suite (docs/SCALE.md): applies semantics-preserving
+// Part of the wiresort project. Metamorphic counterpart to the thread
+// differential suite (docs/ENGINE.md): applies semantics-preserving
 // transformations to generated designs and hand-built circuits and pins
 // down exactly which observables each one may not move.
 //
@@ -31,6 +31,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ThreadCounts.h"
 #include "analysis/SummaryEngine.h"
 #include "analysis/WellConnected.h"
 #include "gen/Catalog.h"
@@ -164,45 +165,48 @@ TEST_P(RenameTrial, RenamingMovesNoKeyNoPortSetNoVerdictShape) {
   buildMegaScale(Renamed, P);
   renameEverything(Renamed);
 
-  CheckOptions Opts;
-  Opts.Threads = 1;
-  SummaryEngine OrigEngine(Opts);
-  Summaries OrigOut;
-  support::Status OrigVerdict = OrigEngine.analyze(Orig, OrigOut);
+  for (unsigned Threads : differentialThreadCounts()) {
+    SCOPED_TRACE("threads " + std::to_string(Threads));
+    EngineConfig Opts;
+    Opts.Threads = Threads;
+    SummaryEngine OrigEngine(Opts);
+    Summaries OrigOut;
+    support::Status OrigVerdict = OrigEngine.analyze(Orig, OrigOut);
 
-  SummaryEngine RenamedEngine(Opts);
-  Summaries RenamedOut;
-  support::Status RenamedVerdict =
-      RenamedEngine.analyze(Renamed, RenamedOut);
+    SummaryEngine RenamedEngine(Opts);
+    Summaries RenamedOut;
+    support::Status RenamedVerdict =
+        RenamedEngine.analyze(Renamed, RenamedOut);
 
-  ASSERT_EQ(Orig.numModules(), Renamed.numModules()) << "seed " << Seed;
-  for (ModuleId Id = 0; Id != Orig.numModules(); ++Id)
-    EXPECT_EQ(OrigEngine.keyOf(Id), RenamedEngine.keyOf(Id))
-        << "seed " << Seed << " module " << Id;
+    ASSERT_EQ(Orig.numModules(), Renamed.numModules()) << "seed " << Seed;
+    for (ModuleId Id = 0; Id != Orig.numModules(); ++Id)
+      EXPECT_EQ(OrigEngine.keyOf(Id), RenamedEngine.keyOf(Id))
+          << "seed " << Seed << " module " << Id;
 
-  EXPECT_EQ(OrigVerdict.hasError(), P.InjectLoop) << "seed " << Seed;
-  EXPECT_EQ(RenamedVerdict.hasError(), OrigVerdict.hasError())
-      << "seed " << Seed;
-  EXPECT_EQ(codeMultiset(OrigVerdict), codeMultiset(RenamedVerdict))
-      << "seed " << Seed;
-  expectSamePortSets(OrigOut, RenamedOut,
-                     "seed " + std::to_string(Seed) + " rename");
+    EXPECT_EQ(OrigVerdict.hasError(), P.InjectLoop) << "seed " << Seed;
+    EXPECT_EQ(RenamedVerdict.hasError(), OrigVerdict.hasError())
+        << "seed " << Seed;
+    EXPECT_EQ(codeMultiset(OrigVerdict), codeMultiset(RenamedVerdict))
+        << "seed " << Seed;
+    expectSamePortSets(OrigOut, RenamedOut,
+                       "seed " + std::to_string(Seed) + " rename");
 
-  // The sharpest form of key-neutrality: the engine that analyzed the
-  // original serves the renamed design entirely from its warm cache (the
-  // rebind on lookup restores the new names, so the summaries still
-  // match a fresh analysis of the renamed design exactly).
-  Summaries WarmOut;
-  support::Status WarmVerdict = OrigEngine.analyze(Renamed, WarmOut);
-  EXPECT_EQ(OrigEngine.stats().CacheHits, OrigOut.size())
-      << "seed " << Seed;
-  EXPECT_EQ(OrigEngine.stats().Inferred, 0u) << "seed " << Seed;
-  EXPECT_EQ(codeMultiset(WarmVerdict), codeMultiset(RenamedVerdict))
-      << "seed " << Seed;
-  ASSERT_EQ(WarmOut.size(), RenamedOut.size()) << "seed " << Seed;
-  for (const auto &[Id, S] : RenamedOut)
-    EXPECT_TRUE(structurallyEqual(S, WarmOut.at(Id)))
-        << "seed " << Seed << " module " << Id;
+    // The sharpest form of key-neutrality: the engine that analyzed the
+    // original serves the renamed design entirely from its warm cache (the
+    // rebind on lookup restores the new names, so the summaries still
+    // match a fresh analysis of the renamed design exactly).
+    Summaries WarmOut;
+    support::Status WarmVerdict = OrigEngine.analyze(Renamed, WarmOut);
+    EXPECT_EQ(OrigEngine.stats().CacheHits, OrigOut.size())
+        << "seed " << Seed;
+    EXPECT_EQ(OrigEngine.stats().Inferred, 0u) << "seed " << Seed;
+    EXPECT_EQ(codeMultiset(WarmVerdict), codeMultiset(RenamedVerdict))
+        << "seed " << Seed;
+    ASSERT_EQ(WarmOut.size(), RenamedOut.size()) << "seed " << Seed;
+    for (const auto &[Id, S] : RenamedOut)
+      EXPECT_TRUE(structurallyEqual(S, WarmOut.at(Id)))
+          << "seed " << Seed << " module " << Id;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MegaScaleDesigns, RenameTrial,
@@ -345,8 +349,8 @@ TEST(MetamorphicDeclarationOrder, KeyMultisetAndPortSetsInvariant) {
   ASSERT_FALSE(FwdEngine.analyze(Fwd, FwdOut).hasError());
   ASSERT_FALSE(RevEngine.analyze(Rev, RevOut).hasError());
 
-  std::vector<uint64_t> FwdKeys = FwdEngine.primeKeys(Fwd);
-  std::vector<uint64_t> RevKeys = RevEngine.primeKeys(Rev);
+  std::vector<uint64_t> FwdKeys = SummaryEngine::computeKeys(Fwd);
+  std::vector<uint64_t> RevKeys = SummaryEngine::computeKeys(Rev);
   std::sort(FwdKeys.begin(), FwdKeys.end());
   std::sort(RevKeys.begin(), RevKeys.end());
   EXPECT_EQ(FwdKeys, RevKeys);
@@ -389,9 +393,9 @@ struct NamedVerdict {
   std::map<std::string, ModuleSummary> ByName;
 };
 
-NamedVerdict analyzeByName(const Design &D) {
-  CheckOptions Opts;
-  Opts.Threads = 1;
+NamedVerdict analyzeByName(const Design &D, unsigned Threads) {
+  EngineConfig Opts;
+  Opts.Threads = Threads;
   SummaryEngine Engine(Opts);
   Summaries Out;
   support::Status S = Engine.analyze(D, Out);
@@ -435,7 +439,7 @@ TEST_P(FileOrderTrial, NonTopModelOrderMovesNoVerdictNoSummary) {
 
   auto Orig = parse::parseBlif(Text, "orig.blif");
   ASSERT_TRUE(Orig.hasValue()) << Orig.describe();
-  const NamedVerdict Want = analyzeByName(Orig->Design);
+  const NamedVerdict Want = analyzeByName(Orig->Design, /*Threads=*/1);
   EXPECT_EQ(Want.HasError, ciParams(Seed).InjectLoop) << "seed " << Seed;
 
   // The writer emits instantiators before the definitions they use, so
@@ -460,18 +464,22 @@ TEST_P(FileOrderTrial, NonTopModelOrderMovesNoVerdictNoSummary) {
               Orig->Design.module(Orig->Top).Name)
         << Trial;
 
-    const NamedVerdict Got = analyzeByName(Perm->Design);
-    EXPECT_EQ(Got.HasError, Want.HasError) << Trial;
-    EXPECT_EQ(Got.Diags, Want.Diags) << Trial;
-    ASSERT_EQ(Got.ByName.size(), Want.ByName.size()) << Trial;
-    for (const auto &[Module, S] : Want.ByName) {
-      auto It = Got.ByName.find(Module);
-      ASSERT_TRUE(It != Got.ByName.end()) << Trial << " " << Module;
-      EXPECT_EQ(S.OutputPortSets, It->second.OutputPortSets)
-          << Trial << " " << Module;
-      EXPECT_EQ(S.InputPortSets, It->second.InputPortSets)
-          << Trial << " " << Module;
-      EXPECT_EQ(S.SubSorts, It->second.SubSorts) << Trial << " " << Module;
+    for (unsigned Threads : differentialThreadCounts()) {
+      SCOPED_TRACE("threads " + std::to_string(Threads));
+      const NamedVerdict Got = analyzeByName(Perm->Design, Threads);
+      EXPECT_EQ(Got.HasError, Want.HasError) << Trial;
+      EXPECT_EQ(Got.Diags, Want.Diags) << Trial;
+      ASSERT_EQ(Got.ByName.size(), Want.ByName.size()) << Trial;
+      for (const auto &[Module, S] : Want.ByName) {
+        auto It = Got.ByName.find(Module);
+        ASSERT_TRUE(It != Got.ByName.end()) << Trial << " " << Module;
+        EXPECT_EQ(S.OutputPortSets, It->second.OutputPortSets)
+            << Trial << " " << Module;
+        EXPECT_EQ(S.InputPortSets, It->second.InputPortSets)
+            << Trial << " " << Module;
+        EXPECT_EQ(S.SubSorts, It->second.SubSorts)
+            << Trial << " " << Module;
+      }
     }
 
     // A cache warmed on the original order replays every chunk of the

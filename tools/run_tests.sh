@@ -40,16 +40,16 @@
 #      reader tokenizes through string_views into the request's text and
 #      shares parsed leaf models between the parse cache and designs, so
 #      a view or a shared body that outlives its owner shows up here;
-#   7. the scale tier (docs/SCALE.md): the shard-differential,
+#   7. the scale tier (docs/SCALE.md): the thread-differential,
 #      metamorphic, and generator-determinism suites (ctest label
-#      `scale`), a TSan rerun of the in-process shard paths, and a jq
-#      byte-comparison of serial vs `--shards 4` vs merged `--shard i/4`
-#      wiresort-check NDJSON on the golden fixtures;
+#      `scale`), a TSan rerun of the thread-differential suite, and a
+#      byte-comparison of `--threads 1` vs `--threads 4` wiresort-check
+#      NDJSON and `--stats` counters on the golden fixtures;
 #   8. the wire-format contract (docs/FORMATS.md): on the golden
 #      fixtures, text -> binary -> text summary conversion must
 #      round-trip byte-identically, repeated binary writes must be
-#      byte-stable, and the binary sidecar a 4-shard fork run writes
-#      must be byte-identical to the serial one.
+#      byte-stable, and the binary sidecar a 4-thread run writes must
+#      be byte-identical to the serial one.
 #   9. the serving tier (docs/SERVING.md): the `served`-labelled suites
 #      (driver facade + in-process server + concurrent soak + the
 #      overload-safety suite) rerun under TSan — the resident cache,
@@ -216,16 +216,16 @@ ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/parse_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/driver_tests"
 
 echo
-echo "=== stage 7: scale tier — sharding determinism (docs/SCALE.md) ==="
+echo "=== stage 7: scale tier — thread-count determinism (docs/SCALE.md) ==="
 cmake --build "$BUILD" -j "$(nproc)" \
-  --target shard_differential_tests metamorphic_tests \
+  --target thread_differential_tests metamorphic_tests \
   gen_determinism_tests wiresort-check wiresort-mega
 (cd "$BUILD" && ctest --output-on-failure -L scale)
-# The in-process shard coordinator (waves of worker threads merging into
-# per-shard buffers) is a concurrency claim like the engine's: rerun it
-# under TSan. Fork-mode trials ride along; TSan tolerates fork+pipe.
-cmake --build "$TSAN_BUILD" -j "$(nproc)" --target shard_differential_tests
-TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/shard_differential_tests"
+# The engine's pool scheduler (in-flight key claims, parked modules,
+# the shared cache) is a concurrency claim: rerun the byte-identity
+# suite under TSan.
+cmake --build "$TSAN_BUILD" -j "$(nproc)" --target thread_differential_tests
+TSAN_OPTIONS="halt_on_error=1" "$TSAN_BUILD/tests/thread_differential_tests"
 if command -v jq >/dev/null 2>&1; then
   SCALE_TMP=$(mktemp -d)
   # Keep stage 5's temp dir in the cleanup when both stages ran.
@@ -233,26 +233,22 @@ if command -v jq >/dev/null 2>&1; then
   CHECK="$BUILD/tools/wiresort-check"
   FIXTURES="$ROOT/tests/tools"
   for Fixture in loopfree.blif loopy.blif; do
-    # Serial vs one fork-sharded invocation: byte-identical NDJSON.
-    (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json) \
-      >"$SCALE_TMP/serial.json" || [ $? -eq 1 ]
-    (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --shards 4) \
-      >"$SCALE_TMP/sharded.json" || [ $? -eq 1 ]
-    cmp "$SCALE_TMP/serial.json" "$SCALE_TMP/sharded.json"
-    # Four scripted slices: their diag lines (everything except the
-    # per-slice verdict line) must merge to exactly the serial diags.
-    : >"$SCALE_TMP/slices.json"
-    for I in 0 1 2 3; do
-      (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --shard $I/4) \
-        >>"$SCALE_TMP/slices.json" || [ $? -eq 1 ]
+    for Threads in 1 4; do
+      # Verdict NDJSON: compared whole.
+      (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json \
+        --threads $Threads) >"$SCALE_TMP/t$Threads.json" || [ $? -eq 1 ]
+      # --stats counters: the histogram timings are wall-clock, so only
+      # the counter object is compared.
+      (cd "$FIXTURES" && "$CHECK" "$Fixture" --format json --stats \
+        --threads $Threads || [ $? -eq 1 ]) |
+        jq -c 'select(.type == "stats") | .counters' \
+          >"$SCALE_TMP/t$Threads.counters.json"
     done
-    grep -v '"verdict"' "$SCALE_TMP/slices.json" | sort \
-      >"$SCALE_TMP/slices_sorted.json" || true
-    grep -v '"verdict"' "$SCALE_TMP/serial.json" | sort \
-      >"$SCALE_TMP/serial_sorted.json" || true
-    cmp "$SCALE_TMP/serial_sorted.json" "$SCALE_TMP/slices_sorted.json"
+    cmp "$SCALE_TMP/t1.json" "$SCALE_TMP/t4.json"
+    [ -s "$SCALE_TMP/t1.counters.json" ]
+    cmp "$SCALE_TMP/t1.counters.json" "$SCALE_TMP/t4.counters.json"
   done
-  echo "serial, --shards 4, and merged --shard i/4 NDJSON agree byte-for-byte"
+  echo "--threads 1 and --threads 4 NDJSON and --stats counters agree byte-for-byte"
 else
   echo "jq not found; skipping the CLI byte-comparison"
 fi
@@ -278,17 +274,17 @@ for Fixture in loopfree.blif soc.blif; do
     --summaries "$WIRE_TMP/text2.wsort" --summary-format text >/dev/null
   cmp "$WIRE_TMP/text1.wsort" "$WIRE_TMP/text2.wsort"
   # Binary writes are deterministic: a direct binary sidecar matches
-  # the converted one byte for byte, serial or 4-shard fork alike.
-  "$CHECK" "$F" --quiet \
+  # the converted one byte for byte, at one thread or four alike.
+  "$CHECK" "$F" --quiet --threads 1 \
     --summaries "$WIRE_TMP/bin_direct.wsort" --summary-format binary \
     >/dev/null
   cmp "$WIRE_TMP/bin.wsort" "$WIRE_TMP/bin_direct.wsort"
-  "$CHECK" "$F" --quiet --shards 4 \
-    --summaries "$WIRE_TMP/bin_sharded.wsort" --summary-format binary \
+  "$CHECK" "$F" --quiet --threads 4 \
+    --summaries "$WIRE_TMP/bin_threads4.wsort" --summary-format binary \
     >/dev/null
-  cmp "$WIRE_TMP/bin_direct.wsort" "$WIRE_TMP/bin_sharded.wsort"
+  cmp "$WIRE_TMP/bin_direct.wsort" "$WIRE_TMP/bin_threads4.wsort"
 done
-echo "text <-> binary summaries round-trip; serial and sharded binary sidecars agree byte-for-byte"
+echo "text <-> binary summaries round-trip; 1- and 4-thread binary sidecars agree byte-for-byte"
 
 echo
 echo "=== stage 9: serving tier — resident daemon (docs/SERVING.md) ==="

@@ -23,11 +23,10 @@
 // attributable to a phase, not just a module.
 //
 // A second section sweeps the flat instance-adjacency graph of the
-// gen::MegaScale presets — ~100k nodes for the `100k` preset — once per
-// available sweep ISA (scalar / AVX2 / AVX-512, forced via
-// support/Simd.h) against a scalar single-lane-word baseline. Every ISA
-// variant must reproduce the baseline's reachability bitset bit for bit
-// before its timing is reported; tools/run_bench.sh commits the JSON as
+// gen::MegaScale presets — ~100k nodes for the `100k` preset — with
+// 8-lane-word rows against a single-lane-word baseline. The wide run
+// must reproduce the baseline's reachability bitset bit for bit before
+// its timing is reported; tools/run_bench.sh commits the JSON as
 // BENCH_kernel.json (reading guide: docs/SCALE.md).
 //
 // Both Stage-1 paths must produce identical loop verdicts and port sets;
@@ -44,7 +43,6 @@
 #include "gen/Fifo.h"
 #include "gen/MegaScale.h"
 #include "support/CsrGraph.h"
-#include "support/Simd.h"
 #include "support/Table.h"
 #include "support/Timer.h"
 #include "synth/Lower.h"
@@ -211,7 +209,7 @@ void addRow(Table &T, JsonReport &Json, const std::string &Name,
       .field("speedup", R.SerialSeconds / R.KernelSeconds);
 }
 
-// --- MegaScale flat-graph ISA sweep ----------------------------------------
+// --- MegaScale flat-graph row-width sweep ----------------------------------
 
 /// The flat instance-adjacency graph of a (sealed) hierarchical design:
 /// one node per flat instance (plus the top), an edge from each instance
@@ -273,13 +271,13 @@ struct MegaSweepResult {
   double FrontierUs = 0.0;
   double SweepPhaseUs = 0.0;
   /// Chunk-major reachability bits: Bits[Chunk][Node bit lane] flattened,
-  /// the canonical form two ISA runs are compared on.
+  /// the canonical form two row widths are compared on.
   std::vector<uint64_t> Bits;
 };
 
 /// Sweeps \p Sources (chunked to the kernel's lane count) over \p Csr
-/// under the *currently forced* ISA/lane configuration and returns
-/// timing plus the full reachability bitset.
+/// with \p LaneWords-word rows and returns timing plus the full
+/// reachability bitset.
 MegaSweepResult megaSweep(const CsrGraph &Csr,
                           const std::vector<uint32_t> &Sources,
                           uint32_t LaneWords, int Reps) {
@@ -299,7 +297,7 @@ MegaSweepResult megaSweep(const CsrGraph &Csr,
   const PhaseSums Phase = phaseSums() - Before;
 
   // Untimed verification pass: record the bits in source-chunk-of-64
-  // major order so any (ISA, LaneWords) run yields the same canonical
+  // major order so any LaneWords run yields the same canonical
   // vector for the identity gate.
   for (size_t Base = 0; Base < Sources.size(); Base += Lanes) {
     const uint32_t Count = static_cast<uint32_t>(
@@ -339,12 +337,8 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     const uint32_t Want = std::min<uint32_t>(N, 512);
     std::vector<uint32_t> Sources(ByDepth.begin(), ByDepth.begin() + Want);
 
-    // Scalar single-word baseline: the pre-vectorization kernel shape —
-    // eight 64-lane sweeps instead of one 512-lane sweep.
-    if (!simd::setActiveIsa(simd::KernelIsa::Scalar)) {
-      std::fprintf(stderr, "scalar sweep variant unavailable?\n");
-      return false;
-    }
+    // Single-word baseline: eight 64-lane sweeps instead of one
+    // 512-lane sweep.
     int Reps = 1;
     {
       Timer Cal;
@@ -354,59 +348,33 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
           std::clamp(0.5 / std::max(Cal.seconds(), 1e-6), 1.0, 100.0));
     }
     const MegaSweepResult Base = megaSweep(Csr, Sources, 1, Reps);
-    T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
-              "scalar", "1", Table::secondsStr(Base.SweepSeconds, 6),
-              Table::speedupStr(1.0)});
-    Json.beginRecord()
-        .field("sweep", "mega_scale_isa")
-        .field("preset", Name)
-        .field("nodes", static_cast<uint64_t>(N))
-        .field("edges", static_cast<uint64_t>(G.numEdges()))
-        .field("isa", "scalar")
-        .field("lane_words", static_cast<uint64_t>(1))
-        .field("sources", static_cast<uint64_t>(Want))
-        .field("sweep_seconds", Base.SweepSeconds)
-        .field("kernel_frontier_us", Base.FrontierUs)
-        .field("kernel_sweep_us", Base.SweepPhaseUs)
-        .field("speedup_vs_scalar_l1", 1.0)
-        .field("identical", "baseline");
-
-    // Every available ISA at the full 8-word row. Timings are reported
-    // only after the bitset matches the baseline exactly.
     const uint32_t Wide = ReachabilityKernel::laneWordsFor(Sources.size());
-    for (simd::KernelIsa Isa : {simd::KernelIsa::Scalar, simd::KernelIsa::Avx2,
-                                simd::KernelIsa::Avx512}) {
-      if (!simd::isaSupported(Isa) || !simd::setActiveIsa(Isa))
-        continue;
-      const MegaSweepResult R = megaSweep(Csr, Sources, Wide, Reps);
-      if (R.Bits != Base.Bits) {
-        std::fprintf(stderr,
-                     "%s: %s L%u bitset diverges from the scalar baseline!\n",
-                     Name.c_str(), simd::isaName(Isa), Wide);
-        return false;
-      }
-      const double Speedup = Base.SweepSeconds / R.SweepSeconds;
+    const MegaSweepResult R = megaSweep(Csr, Sources, Wide, Reps);
+    if (R.Bits != Base.Bits) {
+      std::fprintf(stderr, "%s: L%u bitset diverges from the L1 baseline!\n",
+                   Name.c_str(), Wide);
+      return false;
+    }
+    for (const auto &[Words, Run] :
+         {std::pair{1u, &Base}, std::pair{Wide, &R}}) {
+      const double Speedup = Base.SweepSeconds / Run->SweepSeconds;
       T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
-                simd::isaName(Isa), std::to_string(Wide),
-                Table::secondsStr(R.SweepSeconds, 6),
+                std::to_string(Words), Table::secondsStr(Run->SweepSeconds, 6),
                 Table::speedupStr(Speedup)});
       Json.beginRecord()
-          .field("sweep", "mega_scale_isa")
+          .field("sweep", "mega_scale_lanes")
           .field("preset", Name)
           .field("nodes", static_cast<uint64_t>(N))
           .field("edges", static_cast<uint64_t>(G.numEdges()))
-          .field("isa", simd::isaName(Isa))
-          .field("lane_words", static_cast<uint64_t>(Wide))
+          .field("lane_words", static_cast<uint64_t>(Words))
           .field("sources", static_cast<uint64_t>(Want))
-          .field("sweep_seconds", R.SweepSeconds)
-          .field("kernel_frontier_us", R.FrontierUs)
-          .field("kernel_sweep_us", R.SweepPhaseUs)
-          .field("speedup_vs_scalar_l1", Speedup)
-          .field("identical", "true");
+          .field("sweep_seconds", Run->SweepSeconds)
+          .field("kernel_frontier_us", Run->FrontierUs)
+          .field("kernel_sweep_us", Run->SweepPhaseUs)
+          .field("speedup_vs_l1", Speedup)
+          .field("identical", Run == &Base ? "baseline" : "true");
     }
   }
-  // Leave the process on its natural dispatch choice.
-  simd::setActiveIsa(simd::bestSupportedIsa());
   return true;
 }
 
@@ -487,13 +455,13 @@ int main(int ArgC, char **ArgV) {
 
   T.print();
 
-  // MegaScale flat-graph closure under every available sweep ISA: one
-  // ~100k-node graph, 512 sources, scalar/L1 baseline vs forced-ISA
-  // 8-word rows, all gated on bitset identity (docs/SCALE.md).
-  std::printf("\n=== MegaScale flat-graph 512-source closure by sweep ISA "
-              "===\n(speedups are against the scalar 1-lane-word baseline; "
-              "every row's bitset verified identical to it)\n\n");
-  Table MegaT({"Preset", "Nodes", "Edges", "ISA", "Lane words", "Closure (s)",
+  // MegaScale flat-graph closure by row width: one ~100k-node graph,
+  // 512 sources, L1 baseline vs 8-word rows, gated on bitset identity
+  // (docs/SCALE.md).
+  std::printf("\n=== MegaScale flat-graph 512-source closure by row width "
+              "===\n(speedups are against the 1-lane-word baseline; the "
+              "wide row's bitset is verified identical to it)\n\n");
+  Table MegaT({"Preset", "Nodes", "Edges", "Lane words", "Closure (s)",
                "Speedup"});
   if (!megaScaleSection(MegaT, Json, Quick))
     return 1;

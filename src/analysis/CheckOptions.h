@@ -36,7 +36,8 @@ enum class Format { Text, Json };
 /// serves. See docs/ENGINE.md and docs/SERVING.md.
 struct EngineConfig {
   /// Worker threads for SummaryEngine; 0 = hardware concurrency,
-  /// 1 = serial (no pool). A resident service usually runs each request
+  /// 1 = serial (no pool). Each analyze() clamps it to the design's
+  /// module count and to ThreadPool::MaxThreads. A resident service usually runs each request
   /// at 1 and gets its parallelism from concurrent requests instead.
   unsigned Threads = 0;
 

@@ -103,6 +103,8 @@ struct EngineStats {
   size_t Cancelled = 0;  ///< Modules abandoned to a deadline (WS601).
   size_t Panicked = 0;   ///< Modules whose worker threw (WS604).
   double Seconds = 0.0;  ///< Wall-clock time of the whole analyze().
+  /// Workers analyze() ran with: the requested count, clamped to the
+  /// module count and to ThreadPool::MaxThreads.
   unsigned ThreadsUsed = 1;
 };
 
@@ -220,26 +222,21 @@ public:
             const std::map<ir::ModuleId, ModuleSummary> &Summaries,
             const std::vector<uint64_t> &Keys) const;
 
-  /// Seeds the cache from a sidecar written by saveCache, resolving port
-  /// names against \p D. The first byte is sniffed: a wire stream loads
-  /// through the cache-v3 reader, anything else through the legacy
-  /// v1/v2 text parser. Staleness of any kind is harmless: entries whose
-  /// recorded key no longer matches the design never hit, and records
-  /// that no longer resolve (module renamed away, interface changed) are
-  /// skipped rather than loaded. Damage is quarantined, never fatal: a
-  /// v2 record failing its recorded checksum is skipped with a
-  /// WS603_CACHE_CORRUPT warning; a v3 record failing its framing
-  /// checksum (or truncating) quarantines the rest of the stream (the
-  /// length prefix after a corrupt frame cannot be trusted) with one
-  /// WS603 warning naming the byte offset — either way the run degrades
-  /// to cold inference for the affected modules only. A legacy text
-  /// cache that loads cleanly is migrated to v3 in place via the same
-  /// crash-safe atomic write as saveCache, announced by a
-  /// WS605_CACHE_MIGRATED note.
+  /// Seeds the cache from a cache-v3 stream written by saveCache,
+  /// resolving port names against \p D. Staleness of any kind is
+  /// harmless: entries whose recorded key no longer matches the design
+  /// never hit, and records that no longer resolve (module renamed away,
+  /// interface changed) are skipped rather than loaded. Damage is
+  /// quarantined, never fatal: a record failing its framing checksum (or
+  /// truncating) quarantines the rest of the stream (the length prefix
+  /// after a corrupt frame cannot be trusted) with one WS603_CACHE_CORRUPT
+  /// warning naming the byte offset, and the run degrades to cold
+  /// inference for the affected modules only.
   /// \returns the load tally plus warnings, or a WS502_CACHE_FORMAT
-  /// diagnostic when the file is neither a cache stream nor
-  /// sidecar-shaped text (--cache pointed at something else). A missing
-  /// file is not an error (empty result).
+  /// diagnostic when the file is not a cache-v3 stream (--cache pointed
+  /// at something else, or at a legacy v1/v2 text cache). loadCache
+  /// never writes. A missing or empty file is not an error (empty
+  /// result).
   support::Expected<CacheLoadResult> loadCache(const std::string &Path,
                                                const ir::Design &D);
 

@@ -7,14 +7,91 @@
 #include "support/CsrGraph.h"
 
 #include "support/FailPoint.h"
-#include "support/Simd.h"
-#include "support/SimdSweep.h"
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 using namespace wiresort;
+
+namespace {
+
+/// How many blocks a sweep processes between deadline polls — the
+/// kernel's cancellation granularity (docs/ROBUSTNESS.md).
+constexpr uint32_t PollGrain = 4096;
+
+/// Amortized deadline poll: one decrement per block, and a clock read
+/// (plus the kernel.cancel failpoint, which simulates expiry
+/// deterministically) every PollGrain blocks. A time check per block
+/// would dominate the sweep; a null deadline costs one predicted branch.
+class Poller {
+public:
+  explicit Poller(const support::Deadline *DL) : DL(DL) {}
+
+  bool expired() {
+    if (!DL || --Budget != 0)
+      return false;
+    Budget = PollGrain;
+    return DL->expired() || WS_FAILPOINT("kernel.cancel");
+  }
+
+private:
+  const support::Deadline *DL;
+  uint32_t Budget = PollGrain;
+};
+
+/// OR position P's L-word lane row into each of its successors' rows.
+/// Kernel CSR guarantees every successor position is strictly greater
+/// than P, so the source row is never a destination and is loaded into
+/// locals once; with L a compile-time constant the inner loop unrolls
+/// and the compiler vectorizes it at whatever width the build targets.
+template <uint32_t L>
+inline void propagateBlock(uint64_t *Mask, const uint32_t *Row,
+                           const uint32_t *Col, uint32_t P) {
+  const uint32_t Begin = Row[P], End = Row[P + 1];
+  if (Begin == End)
+    return;
+  uint64_t Src[L];
+  for (uint32_t I = 0; I != L; ++I)
+    Src[I] = Mask[std::size_t(P) * L + I];
+  for (uint32_t Idx = Begin; Idx != End; ++Idx) {
+    uint64_t *D = Mask + std::size_t(Col[Idx]) * L;
+    for (uint32_t I = 0; I != L; ++I)
+      D[I] |= Src[I];
+  }
+}
+
+/// Phase 2 of a sweep: propagate lane rows over the discovered
+/// positions in ascending (= topological) position order. The dense
+/// pass walks the frontier bitmap word by word, peeling set bits with
+/// countr_zero; the sparse pass walks the discovery list, which the
+/// caller has sorted. \returns false iff \p Poll fired (the rows are
+/// then meaningless; the scratch stays reusable).
+template <uint32_t L>
+bool propagate(const uint32_t *Row, const uint32_t *Col, uint64_t *Mask,
+               const uint64_t *Frontier, uint32_t NumBlocks,
+               const std::vector<uint32_t> *SortedDirty, Poller &Poll) {
+  if (SortedDirty) {
+    for (uint32_t P : *SortedDirty) {
+      if (Poll.expired())
+        return false;
+      propagateBlock<L>(Mask, Row, Col, P);
+    }
+    return true;
+  }
+  const uint32_t NumWords = (NumBlocks + 63) / 64;
+  for (uint32_t W = 0; W != NumWords; ++W)
+    for (uint64_t Bits = Frontier[W]; Bits != 0; Bits &= Bits - 1) {
+      if (Poll.expired())
+        return false;
+      propagateBlock<L>(Mask, Row, Col,
+                        W * 64 + static_cast<uint32_t>(std::countr_zero(Bits)));
+    }
+  return true;
+}
+
+} // namespace
 
 CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
   static trace::Counter &Freezes = trace::counter("kernel.freezes");
@@ -236,18 +313,14 @@ ReachabilityKernel::ReachabilityKernel(const CsrGraph &G, Scratch &S,
 }
 
 uint32_t ReachabilityKernel::laneWordsFor(size_t SourceCount) {
-  uint32_t Words = static_cast<uint32_t>((SourceCount + WordBits - 1) /
-                                         WordBits);
+  const size_t Words = (SourceCount + WordBits - 1) / WordBits;
   if (Words <= 1)
-    Words = 1;
-  else if (Words <= 2)
-    Words = 2;
-  else if (Words <= 4)
-    Words = 4;
-  else
-    Words = 8;
-  const uint32_t Cap = simd::maxLaneWords();
-  return Words < Cap ? Words : Cap;
+    return 1;
+  if (Words <= 2)
+    return 2;
+  if (Words <= 4)
+    return 4;
+  return MaxLaneWords;
 }
 
 bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
@@ -268,24 +341,6 @@ bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
   static trace::Histogram &SweepUs = trace::histogram("kernel.sweep_us");
   Sweeps.add();
   const bool Timed = trace::countersEnabled();
-
-  // Deadline poll, amortized: a time check per block would dominate the
-  // sweep, so with an active deadline we pay one decrement per block and
-  // read the clock (plus the kernel.cancel failpoint, which simulates
-  // expiry deterministically) every PollGrain blocks. A null DL costs
-  // one predicted branch.
-  constexpr uint32_t PollGrain = simd::SweepArgs::PollGrain;
-  struct PollState {
-    const support::Deadline *DL;
-    bool Aborted = false;
-  } PS{DL};
-  // Capture-free so it doubles as the SweepArgs::Poll function pointer.
-  constexpr auto pollNow = [](void *Ctx) -> bool {
-    auto *P = static_cast<PollState *>(Ctx);
-    if (!P->Aborted && (P->DL->expired() || WS_FAILPOINT("kernel.cancel")))
-      P->Aborted = true;
-    return P->Aborted;
-  };
 
   // Sparse reset of the previous sweep's footprint: between sweeps the
   // lane rows and the frontier bitmap are all-zero except at Dirty
@@ -325,14 +380,11 @@ bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
                                                << (K % WordBits);
     visit(P);
   }
-  uint32_t Budget = PollGrain;
+  Poller FrontierPoll(DL);
   while (!S->Work.empty()) {
-    if (DL && --Budget == 0) {
-      Budget = PollGrain;
-      if (pollNow(&PS)) {
-        S->Work.clear(); // The worklist is reused; leave it empty on abort.
-        return false;
-      }
+    if (FrontierPoll.expired()) {
+      S->Work.clear(); // The worklist is reused; leave it empty on abort.
+      return false;
     }
     const uint32_t P = S->Work.back();
     S->Work.pop_back();
@@ -348,31 +400,39 @@ bool ReachabilityKernel::sweep(const uint32_t *Sources, uint32_t Count,
   }
 
   // Phase 2 (sweep): propagate lane rows over exactly the discovered
-  // positions in ascending (= topological) position order through the
-  // runtime-dispatched ISA variant. When the sources reach most of the
-  // graph, scanning the frontier bitmap beats sorting the discovery
-  // list; when they reach a sliver, sorting the sliver wins.
+  // positions in ascending (= topological) position order. When the
+  // sources reach most of the graph, scanning the frontier bitmap beats
+  // sorting the discovery list; when they reach a sliver, sorting the
+  // sliver wins.
   const uint64_t TS0 = Timed ? trace::detail::nowNs() : 0;
-  simd::SweepArgs A;
-  A.Row = Row;
-  A.Col = Col;
-  A.Mask = Mask;
-  A.Frontier = S->Frontier.data();
-  A.Dirty = S->Dirty.data();
-  A.DirtyCount = static_cast<uint32_t>(S->Dirty.size());
-  A.NumBlocks = NumBlocks;
-  A.LaneWords = L;
-  A.Poll = DL ? +pollNow : static_cast<bool (*)(void *)>(nullptr);
-  A.PollCtx = &PS;
-  const simd::SweepOps &Ops = simd::sweepOps();
-  bool Ok;
+  const std::vector<uint32_t> *SortedDirty = nullptr;
   if (S->Dirty.size() >= NumBlocks / 8) {
     DensePasses.add();
-    Ok = Ops.Dense(A);
   } else {
     SparsePasses.add();
     std::sort(S->Dirty.begin(), S->Dirty.end());
-    Ok = Ops.Sparse(A);
+    SortedDirty = &S->Dirty;
+  }
+  Poller SweepPoll(DL);
+  const uint64_t *Frontier = S->Frontier.data();
+  bool Ok;
+  switch (L) {
+  case 1:
+    Ok = propagate<1>(Row, Col, Mask, Frontier, NumBlocks, SortedDirty,
+                      SweepPoll);
+    break;
+  case 2:
+    Ok = propagate<2>(Row, Col, Mask, Frontier, NumBlocks, SortedDirty,
+                      SweepPoll);
+    break;
+  case 4:
+    Ok = propagate<4>(Row, Col, Mask, Frontier, NumBlocks, SortedDirty,
+                      SweepPoll);
+    break;
+  default:
+    Ok = propagate<8>(Row, Col, Mask, Frontier, NumBlocks, SortedDirty,
+                      SweepPoll);
+    break;
   }
   if (Timed && Ok)
     SweepUs.record((trace::detail::nowNs() - TS0) / 1000);

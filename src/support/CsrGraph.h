@@ -37,9 +37,9 @@
 /// n?" for up to 512 sources per sweep: an L-word lane row (L = 1, 2, 4
 /// or 8 uint64_t, fixed per kernel) per block in one flat row-major
 /// scratch arena, seeded with the sources' bits and OR-folded over
-/// successors in one topological pass. The OR inner loops are
-/// runtime-dispatched to scalar/AVX2/AVX-512 variants via
-/// support/Simd.h. Sweeps are sparse — only blocks actually reachable
+/// successors in one topological pass. The OR inner loop is one
+/// portable loop templated on L, so the compiler unrolls and vectorizes
+/// it for the build's target. Sweeps are sparse — only blocks actually reachable
 /// from the chunk's sources are visited, tracked in a frontier bitmap
 /// plus a dirty list that doubles as the sparse reset set — so a sweep
 /// over a register-dominated graph costs the size of the reached
@@ -198,9 +198,8 @@ private:
 /// per module in Stage-1 inference) reuse one allocation per thread.
 /// Each sweep discovers the blocks reachable from its sources,
 /// propagates lane rows over exactly those in topological (kernel
-/// position) order through the runtime-dispatched simd::sweepOps inner
-/// loops, and sparsely resets them on the next sweep via the dirty
-/// list. The kernel is exact on cyclic graphs: rows live on the
+/// position) order, and sparsely resets them on the next sweep via the
+/// dirty list. The kernel is exact on cyclic graphs: rows live on the
 /// condensation, so every member of an SCC shares its component's
 /// closure.
 class ReachabilityKernel {
@@ -246,9 +245,9 @@ public:
   ReachabilityKernel &operator=(const ReachabilityKernel &) = delete;
 
   /// The widest useful row for sweeping \p SourceCount sources:
-  /// ceil(SourceCount/64) rounded up to {1,2,4,8}, capped by
-  /// simd::maxLaneWords(). More words than sources waste OR bandwidth;
-  /// fewer cost extra sweeps.
+  /// ceil(SourceCount/64) rounded up to {1,2,4,8}, capped at \ref
+  /// MaxLaneWords. More words than sources waste OR bandwidth; fewer
+  /// cost extra sweeps.
   static uint32_t laneWordsFor(size_t SourceCount);
 
   uint32_t laneWords() const { return L; }

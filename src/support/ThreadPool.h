@@ -22,6 +22,7 @@
 #ifndef WIRESORT_SUPPORT_THREADPOOL_H
 #define WIRESORT_SUPPORT_THREADPOOL_H
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -41,15 +42,21 @@ namespace wiresort {
 /// running tasks) has finished; the pool is reusable after wait().
 class ThreadPool {
 public:
-  /// Creates \p NumThreads workers; 0 picks hardware_concurrency (at
-  /// least 1). A pool of size 1 still runs tasks on its single worker
-  /// thread, preserving the submit/wait discipline of larger pools.
+  /// Upper bound on workers, so a typo such as `--workers 4000000000`
+  /// cannot ask the OS for billions of threads.
+  static constexpr unsigned MaxThreads = 256;
+
+  /// Creates \p NumThreads workers, at most \ref MaxThreads; 0 picks
+  /// hardware_concurrency (at least 1). A pool of size 1 still runs
+  /// tasks on its single worker thread, preserving the submit/wait
+  /// discipline of larger pools.
   explicit ThreadPool(unsigned NumThreads = 0) {
     if (NumThreads == 0) {
       NumThreads = std::thread::hardware_concurrency();
       if (NumThreads == 0)
         NumThreads = 1;
     }
+    NumThreads = std::min(NumThreads, MaxThreads);
     Queues.resize(NumThreads);
     Workers.reserve(NumThreads);
     for (unsigned I = 0; I != NumThreads; ++I)

@@ -205,6 +205,9 @@ bool Reader::readHeader(std::string *Why) {
 
 Reader::Item Reader::next(Record &R) {
   for (;;) {
+    // Set before any early return, so quarantine reports name the
+    // damaged (or missing) record's offset.
+    R.Offset = Pos;
     if (Pos == Data.size())
       return Item::Exhausted;
     size_t At = Pos;
@@ -250,7 +253,6 @@ Reader::Item Reader::next(Record &R) {
       return Item::End;
     R.Kind = Kind;
     R.Payload = Payload;
-    R.Offset = At;
     return Item::Record;
   }
 }

@@ -48,6 +48,7 @@
 
 // Support: diagnostics, graphs, timing, threads, tables, tracing,
 // robustness (deadlines/cancellation + fault injection).
+#include "support/Args.h"
 #include "support/CsrGraph.h"
 #include "support/Deadline.h"
 #include "support/Diag.h"

@@ -119,6 +119,23 @@ TEST(SummaryEngineTest, DiamondSchedulesDependenciesBeforeDependents) {
   EXPECT_NE(Engine.keyOf(Ids[1]), Engine.keyOf(Ids[3]));
 }
 
+TEST(SummaryEngineTest, ThreadCountIsClampedToTheModuleCount) {
+  // Three modules can keep at most three workers busy; a huge request
+  // (a --threads typo) must not start more threads than that.
+  Design D;
+  D.addModule(makeCone("c0", false));
+  D.addModule(makeCone("c1", true));
+  D.addModule(makeCone("c2", false));
+  SummaryEngine Huge(withThreads(100000));
+  Summaries Out = engineAnalyzeOrDie(Huge, D);
+  EXPECT_EQ(Out.size(), 3u);
+  EXPECT_EQ(Huge.stats().ThreadsUsed, 3u);
+
+  SummaryEngine Two(withThreads(2));
+  engineAnalyzeOrDie(Two, D);
+  EXPECT_EQ(Two.stats().ThreadsUsed, 2u);
+}
+
 TEST(SummaryEngineTest, CacheAccountingColdAndWarm) {
   for (unsigned Threads : {1u, 2u, 4u}) {
     SCOPED_TRACE("threads " + std::to_string(Threads));
@@ -324,42 +341,6 @@ TEST(SummaryEngineTest, MissingAndStaleSidecarsAreHarmless) {
   }
 }
 
-TEST(SummaryEngineTest, SidecarBlocksForOtherDesignsAreSkipped) {
-  // A cache shared across projects (or surviving a module rename) holds
-  // records this design cannot resolve; they are stale entries to skip,
-  // never a reason to fail the check. Exercised in the legacy text
-  // format — a foreign block spliced into a v2 file — since a v2 cache
-  // can reach loadCache from any older build.
-  Design D;
-  buildDiamond(D);
-  SummaryEngine Writer;
-  Summaries Out = engineAnalyzeOrDie(Writer, D);
-  std::string Path = ::testing::TempDir() + "/summary_engine_mixed.wsort";
-  {
-    std::ofstream V2(Path);
-    V2 << "# wiresort summary cache v2\n";
-    for (const auto &[Id, S] : Out)
-      V2 << "# key " << D.module(Id).Name << ' ' << std::hex
-         << Writer.keyOf(Id) << std::dec << '\n';
-    V2 << "# key no_such_module 1234abcd\n";
-    for (const auto &[Id, S] : Out)
-      V2 << writeSummaries(D, {{Id, S}});
-    V2 << "module no_such_module\n"
-       << "  input ghost to-sync\n"
-       << "end\n";
-  }
-
-  SummaryEngine Reader;
-  auto Loaded = Reader.loadCache(Path, D);
-  ASSERT_TRUE(Loaded.hasValue()) << Loaded.describe();
-  EXPECT_EQ(Loaded->Loaded, Out.size());
-  EXPECT_EQ(Loaded->Quarantined, 0u);
-  Summaries Warm = engineAnalyzeOrDie(Reader, D);
-  EXPECT_EQ(Reader.stats().Inferred, 0u);
-  expectAllEqual(Out, Warm);
-  std::remove(Path.c_str());
-}
-
 TEST(SummaryEngineTest, StaleBinaryCacheEntriesAreSkippedSilently) {
   // The v3 equivalent of cross-design staleness: a cache saved against
   // one design, loaded against a design missing those modules. Every
@@ -418,18 +399,24 @@ TEST(SummaryEngineTest, NonSidecarFilesAreRejectedByLoadCache) {
   SummaryEngine Engine;
   std::string Path = ::testing::TempDir() + "/summary_engine_bogus.wsort";
 
-  std::ofstream(Path) << "this is not a sidecar\n";
-  auto Bogus = Engine.loadCache(Path, D);
-  ASSERT_FALSE(Bogus.hasValue());
-  EXPECT_EQ(Bogus.diags().firstError().code(),
-            support::DiagCode::WS502_CACHE_FORMAT);
-  EXPECT_NE(Bogus.describe().find("expected 'module'"), std::string::npos)
-      << Bogus.describe();
+  // Plain text and summary-sidecar text alike: only a wire stream
+  // loads.
+  for (const char *Text : {"this is not a sidecar\n",
+                           "module truncated\n  input a to-sync\n"}) {
+    std::ofstream(Path) << Text;
+    auto Bogus = Engine.loadCache(Path, D);
+    ASSERT_FALSE(Bogus.hasValue()) << Text;
+    EXPECT_EQ(Bogus.diags().firstError().code(),
+              support::DiagCode::WS502_CACHE_FORMAT);
+    EXPECT_NE(Bogus.describe().find("no wire-stream header"),
+              std::string::npos)
+        << Bogus.describe();
+  }
 
-  std::ofstream(Path) << "module truncated\n  input a to-sync\n";
-  auto Trunc = Engine.loadCache(Path, D);
-  ASSERT_FALSE(Trunc.hasValue());
-  EXPECT_NE(Trunc.describe().find("unterminated"), std::string::npos)
-      << Trunc.describe();
+  // An empty file holds nothing to load or lose: a cold start.
+  std::ofstream(Path).flush();
+  auto Empty = Engine.loadCache(Path, D);
+  ASSERT_TRUE(Empty.hasValue()) << Empty.describe();
+  EXPECT_EQ(Empty->Loaded, 0u);
   std::remove(Path.c_str());
 }

@@ -6,8 +6,8 @@
 // duplicated lines, token corruption, byte noise — and demands a total
 // parser: every input either yields summaries or a diagnostic, never a
 // crash, and whatever parses must serialize back to a fixpoint. The
-// SummaryEngine trusts this parser for loadCache, so a crash here is a
-// crash on any stale cache file.
+// checker trusts this parser for --check ascription sidecars, so a
+// crash here is a crash on any hand-edited sidecar.
 //
 //===----------------------------------------------------------------------===//
 
@@ -309,7 +309,8 @@ TEST(SummaryIOFuzzTest, TruncatedBinaryStreamsAreAlwaysRejected) {
 }
 
 TEST(SummaryIOFuzzTest, EngineKeyCommentsAreIgnoredByTheParser) {
-  // SummaryEngine::saveCache prepends `# key <name> <hex>` lines; the
+  // Sidecars may carry comments anywhere: hand-written notes, or the
+  // `# key <name> <hex>` lines of the retired text cache format. The
   // parser must treat any comment soup as whitespace.
   Design D;
   D.addModule(gen::makeFifo({8, 2, true}));

@@ -50,10 +50,15 @@ run malformed 1 malformed.blif --format json
 run badascribe 1 badascribe.blif --format json --check badascribe.wsort
 
 # Exit 2: I/O failure (WS501), bad command line (WS503), and a --cache
-# file that is not a summary sidecar (WS502). No verdict line: the run
+# file that is not a cache-v3 stream (WS502). No verdict line: the run
 # never got far enough to have one.
 run missing 2 no_such_file.blif --format json
 run badflag 2 loopfree.blif --format json --bogus
+# A thread count must be all digits and fit 32 bits: atoi-style parsing
+# once read `-1` as four billion threads and `4x` as 4.
+for Threads in -1 abc 4x 4294967296; do
+  run badthreads 2 loopfree.blif --format json --threads "$Threads"
+done
 run badcache 2 loopfree.blif --format json --cache bogus.wscache
 
 # Exit 3: a deadline that fires cancels the run with a WS601
@@ -63,10 +68,11 @@ run badcache 2 loopfree.blif --format json --cache bogus.wscache
 run timeout 3 loopfree.blif --format json --threads 1 --timeout-ms 1 \
     --failpoints engine.cancel=always
 
-# Exit 0 despite damage: a cache record failing its v2 checksum is
-# quarantined with a WS603 warning, the module re-infers cold, and the
-# verdict is unchanged. The run then rewrites the cache (healing it), so
-# the fixture is copied to a scratch name first.
+# Exit 0 despite damage: a cache-v3 record failing its framing checksum
+# (one flipped payload byte) quarantines the rest of the stream with a
+# WS603 warning, the module re-infers cold, and the verdict is
+# unchanged. The run then rewrites the cache (healing it), so the
+# fixture is copied to a scratch name first.
 cp corruptcache.wscache corrupt.run.wscache
 run corruptcache 0 loopfree.blif --format json --cache corrupt.run.wscache
 if cmp -s corruptcache.wscache corrupt.run.wscache; then

@@ -38,6 +38,18 @@ done
 
 Failures=0
 
+# Count flags are all digits and fit 32 bits; anything else is a usage
+# error (WS503, exit 2) before the daemon binds a socket.
+for Flag in "--workers -1" "--workers 4x" "--threads abc" "--threads 0"; do
+  # shellcheck disable=SC2086 # Flag is intentionally word-split.
+  Err=$("$SERVED" --socket "$SCRATCH/usage.sock" $Flag 2>&1 >/dev/null)
+  Got=$?
+  if [ "$Got" -ne 2 ] || ! printf '%s' "$Err" | grep -q WS503_USAGE; then
+    echo "FAIL served $Flag: exit $Got, want 2 with WS503_USAGE" >&2
+    Failures=$((Failures + 1))
+  fi
+done
+
 # run <name> <arg...>: the same request through the daemon and through a
 # cold serial CLI process; stdout and exit must match byte for byte.
 run() {

@@ -7,8 +7,8 @@
 #    BENCH_scalability.json at the repo root;
 #  * bench_kernel — serial-vs-kernel Stage-1 rows with per-phase
 #    (freeze/frontier/sweep) attribution, plus the MegaScale flat-graph
-#    512-source closure under every available sweep ISA against the
-#    scalar 1-lane-word baseline — written over BENCH_kernel.json;
+#    512-source closure with 8-lane-word rows against the 1-lane-word
+#    baseline — written over BENCH_kernel.json;
 #  * bench_engine — serial/parallel/warm engine curves, the cold
 #    summary-load comparison (text sidecar vs wire binary vs loadCache
 #    on a v3 cache file), the resident-service-vs-cold-process check

@@ -13,12 +13,7 @@
 #      rides along (its masks feed the engine);
 #   3. an UndefinedBehaviorSanitizer build of the kernel suite — the CSR
 #      sweep (docs/KERNEL.md) lives on shifts and index arithmetic, which
-#      is exactly UBSan's beat — followed by a rerun of the regular-build
-#      kernel suite with WIRESORT_KERNEL_ISA=scalar forced, so the env
-#      override path and the scalar sweep variant stay covered even on
-#      hosts whose CPUID would always dispatch AVX (the in-process
-#      cross-ISA differential inside the suite still exercises every
-#      supported wider variant);
+#      is exactly UBSan's beat;
 #   4. a jq smoke check that live `wiresort-check --format json` output
 #      is valid NDJSON (skipped when jq is absent);
 #   5. a trace/stats validation stage (docs/OBSERVABILITY.md): export the
@@ -34,9 +29,9 @@
 #      crash-recovery and failpoint unit suites (docs/ROBUSTNESS.md):
 #      injected faults walk the error/retry/quarantine paths that
 #      ordinary runs never touch, which is exactly where leaks and
-#      use-after-frees hide — plus the kernel suite, whose cross-ISA
-#      differential then runs every vector sweep variant's row-arena
-#      indexing under ASan, and the parse and driver suites: the BLIF
+#      use-after-frees hide — plus the kernel suite, whose lane-width
+#      differential then runs the sweep's row-arena indexing at every
+#      row width under ASan, and the parse and driver suites: the BLIF
 #      reader tokenizes through string_views into the request's text and
 #      shares parsed leaf models between the parse cache and designs, so
 #      a view or a shared body that outlives its owner shows up here;
@@ -117,13 +112,6 @@ UBSAN_BUILD="$ROOT/build-ubsan"
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
 cmake --build "$UBSAN_BUILD" -j "$(nproc)" --target kernel_tests
 "$UBSAN_BUILD/tests/kernel_tests"
-# Forced-scalar rerun of the regular build: WIRESORT_KERNEL_ISA is read
-# once at first dispatch, so this covers the env-override parse and runs
-# the whole suite (including the multi-word lane rows) on the portable
-# sweep loops regardless of host CPU.
-echo
-echo "=== stage 3b: kernel suite with WIRESORT_KERNEL_ISA=scalar ==="
-WIRESORT_KERNEL_ISA=scalar "$BUILD/tests/kernel_tests"
 
 echo
 echo "=== stage 4: CLI JSON smoke check (jq) ==="
@@ -207,10 +195,10 @@ cmake --build "$ASAN_BUILD" -j "$(nproc)" \
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/fault_soak_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/engine_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/support_tests"
-# The cross-ISA differential (SimdKernelTest) under ASan: every
-# supported sweep variant's loads/stores against the flat row arena,
-# including the partial-row tails at the 63/65/127/129/511/513 source
-# boundaries.
+# The lane-width differential (LaneWidthTest) under ASan: the sweep's
+# loads/stores against the flat row arena at every row width L in
+# {1, 2, 4, 8}, including the partial-row tails at the
+# 63/65/127/129/511/513 source boundaries.
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/kernel_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/parse_tests"
 ASAN_OPTIONS="abort_on_error=1" "$ASAN_BUILD/tests/driver_tests"

@@ -139,9 +139,10 @@ int main(int ArgC, char **ArgV) {
       std::string Value;
       if (!takeValue(Value))
         return usage(ArgV[0], Fmt, "--threads expects a count");
-      Cfg.Threads = static_cast<unsigned>(std::atoi(Value.c_str()));
-      if (Cfg.Threads == 0)
+      std::optional<uint32_t> N = support::parseCount(Value);
+      if (!N || *N == 0)
         return usage(ArgV[0], Fmt, "--threads expects a positive count");
+      Cfg.Threads = *N;
     } else if (Arg == "--timeout-ms") {
       std::string Value;
       if (!takeValue(Value))

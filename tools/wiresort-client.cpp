@@ -43,7 +43,6 @@
 
 #include "wiresort.h"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -123,17 +122,13 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--retries") {
       if (!takeValue(Value))
         return usage(ArgV[0], Fmt, "--retries expects a count");
-      // strtoull silently negates "-1" into ~4 billion attempts, so
-      // reject a leading sign and trailing junk explicitly; cap the
-      // count so a typo cannot spell an effectively-infinite loop.
-      const char *Text = Value.c_str();
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Text, &End, 10);
-      if (End == Text || *End != '\0' ||
-          !std::isdigit(static_cast<unsigned char>(Value[0])) || N > 1000)
+      // Cap the count so a typo cannot spell an effectively-infinite
+      // loop.
+      std::optional<uint32_t> N = support::parseCount(Value);
+      if (!N || *N > 1000)
         return usage(ArgV[0], Fmt,
                      "--retries expects a count between 0 and 1000");
-      Retries = static_cast<unsigned>(N);
+      Retries = *N;
     } else if (Arg == "--retry-base-ms") {
       if (!takeValue(Value))
         return usage(ArgV[0], Fmt, "--retry-base-ms expects milliseconds");

@@ -41,7 +41,10 @@ using namespace wiresort::ir;
 namespace {
 
 int usage(const std::string &Why) {
-  std::fprintf(stderr, "error: %s\n", Why.c_str());
+  std::fprintf(stderr, "%s\n",
+               support::renderText(
+                   support::Diag(support::DiagCode::WS503_USAGE, Why), nullptr)
+                   .c_str());
   std::fprintf(
       stderr,
       "usage: wiresort-mega <preset> [--seed N] [--inject-loop]\n"
@@ -86,10 +89,12 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--quiet") {
       Quiet = true;
     } else if (Arg == "--threads") {
-      uint64_t V = 0;
-      if (!takeValue(V) || V == 0)
+      std::optional<uint32_t> N;
+      if (I + 1 < ArgC)
+        N = support::parseCount(ArgV[++I]);
+      if (!N || *N == 0)
         return usage("--threads expects a positive count");
-      Threads = static_cast<unsigned>(V);
+      Threads = *N;
     } else if (Arg == "--timeout-ms") {
       if (!takeValue(TimeoutMs) || TimeoutMs == 0)
         return usage("--timeout-ms expects positive milliseconds");

@@ -81,14 +81,17 @@ int main(int ArgC, char **ArgV) {
     } else if (Arg == "--workers") {
       if (!takeValue(Value))
         return usage(ArgV[0], "--workers expects a count");
-      Opts.Workers = static_cast<unsigned>(std::atoi(Value.c_str()));
+      std::optional<uint32_t> N = support::parseCount(Value);
+      if (!N)
+        return usage(ArgV[0], "--workers expects a count");
+      Opts.Workers = *N;
     } else if (Arg == "--threads") {
       if (!takeValue(Value))
         return usage(ArgV[0], "--threads expects a count");
-      Opts.Engine.Threads =
-          static_cast<unsigned>(std::atoi(Value.c_str()));
-      if (Opts.Engine.Threads == 0)
+      std::optional<uint32_t> N = support::parseCount(Value);
+      if (!N || *N == 0)
         return usage(ArgV[0], "--threads expects a positive count");
+      Opts.Engine.Threads = *N;
     } else if (Arg == "--no-cache") {
       Opts.Engine.UseCache = false;
     } else if (Arg == "--max-request-bytes") {

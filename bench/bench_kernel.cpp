@@ -7,20 +7,19 @@
 // bit-blasted corpus (the paper's Tables 1-2 methodology: modules are
 // lowered to primitive gates before inference, so port counts are wire
 // bits, not RTL vectors). Each path runs cold — the timed region is the
-// per-module graph analysis Stage-1 performs after the comb graph is
-// built:
+// whole per-module Stage-1 graph work, comb-graph build included:
 //
-//  * serial — the seed implementation: Graph::findCycle for the
-//    combinational-loop check plus one allocating BFS per input port
-//    (CombGraph::reachableOutputPorts, kept as the differential oracle);
-//  * kernel — one ForwardOnly CSR freeze (Kahn orders the graph and
-//    settles the loop verdict; docs/KERNEL.md) shared by
-//    CombGraph::findCombLoop and the bit-parallel closure
+//  * serial — the seed's method: the loop check plus one allocating BFS
+//    per input port (CombGraph::reachableOutputPorts, kept as the
+//    differential oracle);
+//  * kernel — CombGraph::findCombLoop plus the bit-parallel closure
 //    (CombGraph::allOutputPortSets, up to 512 input ports per sweep).
 //
-// Kernel rows carry a per-phase breakdown (freeze / frontier discovery /
-// OR-sweep) read from the kernel.* trace histograms, so a regression is
-// attributable to a phase, not just a module.
+// Both paths pay the same build, which fills the CSR arrays in place and
+// orders them (docs/KERNEL.md). Kernel rows carry a per-phase breakdown
+// (freeze = that build / frontier discovery / OR-sweep) read from the
+// kernel.* trace histograms, so a regression is attributable to a
+// phase, not just a module.
 //
 // A second section sweeps the flat instance-adjacency graph of the
 // gen::MegaScale presets — ~100k nodes for the `100k` preset — with
@@ -98,23 +97,35 @@ struct KernelRun {
   bool Identical = false;
 };
 
-/// The serial Stage-1 analysis over an already-built comb graph: the
-/// seed's loop check plus one BFS per input port.
+/// Lowered gate modules have no instances to summarize.
+const std::map<ModuleId, analysis::ModuleSummary> NoSubs;
+
+/// The serial Stage-1 analysis: build the comb graph, then the loop
+/// check plus one BFS per input port.
 std::map<WireId, std::vector<WireId>> serialStage1(const Module &Gates,
-                                                   const CombGraph &CG,
                                                    bool &Loop) {
-  Loop = CG.graph().findCycle().has_value();
+  const CombGraph CG = CombGraph::build(Gates, NoSubs);
+  Loop = CG.frozen().findCycle().has_value();
   std::map<WireId, std::vector<WireId>> Sets;
   for (WireId In : Gates.Inputs)
     Sets[In] = CG.reachableOutputPorts(In);
   return Sets;
 }
 
+/// The kernel Stage-1 analysis: build the comb graph, then the loop check
+/// and the batched closure.
+std::map<WireId, std::vector<WireId>> kernelStage1(const Module &Gates,
+                                                   bool &Loop) {
+  const CombGraph CG = CombGraph::build(Gates, NoSubs);
+  Loop = CG.findCombLoop().has_value();
+  return CG.allOutputPortSets();
+}
+
 /// Times both cold Stage-1 paths over the gate-level form of \p M.
 ///
-/// Every repetition rebuilds the comb graph outside the timed region so
-/// the kernel path pays its freeze cold each time; repetitions are scaled
-/// until the faster path accumulates enough time for the clock.
+/// Every repetition builds its comb graph inside the timed region, so
+/// each path pays the build cold; repetitions are scaled until the
+/// faster path accumulates enough time for the clock.
 KernelRun runModule(const Module &M) {
   Design D;
   ModuleId Id = D.addModule(M);
@@ -126,53 +137,36 @@ KernelRun runModule(const Module &M) {
   Run.Inputs = Gates.Inputs.size();
   Run.Outputs = Gates.Outputs.size();
 
-  const std::map<ModuleId, analysis::ModuleSummary> NoSubs;
-
   // Correctness gate first: identical port sets and loop verdicts.
-  bool SerialLoop = false;
-  std::map<WireId, std::vector<WireId>> Serial, Batched;
-  {
-    CombGraph CG = CombGraph::build(Gates, NoSubs);
-    Serial = serialStage1(Gates, CG, SerialLoop);
-  }
-  {
-    CombGraph CG = CombGraph::build(Gates, NoSubs);
-    const bool KernelLoop = CG.findCombLoop().has_value();
-    Batched = CG.allOutputPortSets();
-    Run.Identical = Serial == Batched && SerialLoop == KernelLoop;
-  }
+  bool SerialLoop = false, KernelLoop = false;
+  const std::map<WireId, std::vector<WireId>> Serial =
+      serialStage1(Gates, SerialLoop);
+  Run.Identical =
+      Serial == kernelStage1(Gates, KernelLoop) && SerialLoop == KernelLoop;
   if (!Run.Identical)
     return Run;
 
   // Calibrate the repetition count on the kernel path (the faster one),
   // then time both paths over the same number of cold runs.
   int Reps = 1;
+  bool Loop;
   {
-    CombGraph CG = CombGraph::build(Gates, NoSubs);
     Timer T;
-    (void)CG.findCombLoop();
-    (void)CG.allOutputPortSets();
+    (void)kernelStage1(Gates, Loop);
     const double Once = T.seconds();
     Reps = static_cast<int>(
         std::clamp(0.02 / std::max(Once, 1e-7), 1.0, 2000.0));
   }
 
   Timer T;
-  for (int R = 0; R != Reps; ++R) {
-    CombGraph CG = CombGraph::build(Gates, NoSubs);
-    T.restart();
-    bool Loop;
-    (void)serialStage1(Gates, CG, Loop);
-    Run.SerialSeconds += T.seconds();
-  }
+  for (int R = 0; R != Reps; ++R)
+    (void)serialStage1(Gates, Loop);
+  Run.SerialSeconds = T.seconds();
   const PhaseSums Before = phaseSums();
-  for (int R = 0; R != Reps; ++R) {
-    CombGraph CG = CombGraph::build(Gates, NoSubs);
-    T.restart();
-    (void)CG.findCombLoop();
-    (void)CG.allOutputPortSets();
-    Run.KernelSeconds += T.seconds();
-  }
+  T.restart();
+  for (int R = 0; R != Reps; ++R)
+    (void)kernelStage1(Gates, Loop);
+  Run.KernelSeconds = T.seconds();
   const PhaseSums Phase = phaseSums() - Before;
   Run.SerialSeconds /= Reps;
   Run.KernelSeconds /= Reps;
@@ -218,16 +212,16 @@ void addRow(Table &T, JsonReport &Json, const std::string &Name,
 /// every level of the expansion. For the MegaScale presets this
 /// reproduces the stitched grid/torus/chain at full flat scale — the
 /// graph shape the kernel meets when a composition is checked whole.
-Graph flatInstanceGraph(const Design &D, ModuleId Top,
-                        std::vector<uint32_t> &ByDepth) {
+CsrGraph flatInstanceGraph(const Design &D, ModuleId Top,
+                           std::vector<uint32_t> &ByDepth) {
   const uint32_t N = static_cast<uint32_t>(1 + flatInstanceCount(D, Top));
-  Graph G(N);
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
   uint32_t Next = 0;
   std::vector<std::vector<uint32_t>> Levels;
 
   struct Rec {
     const Design &D;
-    Graph &G;
+    std::vector<std::pair<uint32_t, uint32_t>> &Edges;
     uint32_t &Next;
     std::vector<std::vector<uint32_t>> &Levels;
     void operator()(ModuleId Id, uint32_t Self, uint32_t Depth) const {
@@ -241,7 +235,7 @@ Graph flatInstanceGraph(const Design &D, ModuleId Top,
       std::vector<std::pair<WireId, uint32_t>> Sinks;
       for (const SubInstance &Sub : M.Instances) {
         const uint32_t Child = ++Next;
-        G.addEdge(Self, Child);
+        Edges.emplace_back(Self, Child);
         const Module &Def = D.module(Sub.Def);
         for (const auto &[Port, Local] : Sub.Bindings) {
           if (Def.isOutput(Port))
@@ -254,15 +248,18 @@ Graph flatInstanceGraph(const Design &D, ModuleId Top,
       for (const auto &[Local, Sink] : Sinks) {
         auto It = Driver.find(Local);
         if (It != Driver.end() && It->second != Sink)
-          G.addEdge(It->second, Sink);
+          Edges.emplace_back(It->second, Sink);
       }
     }
   };
-  Rec{D, G, Next, Levels}(Top, 0, 0);
+  Rec{D, Edges, Next, Levels}(Top, 0, 0);
   ByDepth.clear();
   for (const std::vector<uint32_t> &L : Levels)
     ByDepth.insert(ByDepth.end(), L.begin(), L.end());
-  return G;
+  return CsrGraph::buildTraced(N, [&](auto &&Edge) {
+    for (const auto &[From, To] : Edges)
+      Edge(From, To);
+  });
 }
 
 struct MegaSweepResult {
@@ -322,8 +319,7 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     Design D;
     MegaScaleDesign Mega = buildMegaScale(D, P);
     std::vector<uint32_t> ByDepth;
-    Graph G = flatInstanceGraph(D, Mega.Top, ByDepth);
-    const CsrGraph Csr = CsrGraph::freeze(G, CsrGraph::ForwardOnly);
+    const CsrGraph Csr = flatInstanceGraph(D, Mega.Top, ByDepth);
 
     // 512 sources, shallowest instances first: the composition roots
     // (top, clusters, then tiles), whose closures share the stitched
@@ -333,7 +329,7 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
     // single-word sweeps re-traverse the shared cone once per 64-source
     // chunk. Deep payload leaves have tiny disjoint closures and would
     // measure pure row-width overhead instead.
-    const uint32_t N = G.numNodes();
+    const uint32_t N = static_cast<uint32_t>(Csr.numNodes());
     const uint32_t Want = std::min<uint32_t>(N, 512);
     std::vector<uint32_t> Sources(ByDepth.begin(), ByDepth.begin() + Want);
 
@@ -348,24 +344,31 @@ bool megaScaleSection(Table &T, JsonReport &Json, bool Quick) {
           std::clamp(0.5 / std::max(Cal.seconds(), 1e-6), 1.0, 100.0));
     }
     const MegaSweepResult Base = megaSweep(Csr, Sources, 1, Reps);
+    std::vector<std::pair<uint32_t, const MegaSweepResult *>> Rows = {
+        {1u, &Base}};
+    // A source count that fits one word has no wider row to compare.
     const uint32_t Wide = ReachabilityKernel::laneWordsFor(Sources.size());
-    const MegaSweepResult R = megaSweep(Csr, Sources, Wide, Reps);
-    if (R.Bits != Base.Bits) {
-      std::fprintf(stderr, "%s: L%u bitset diverges from the L1 baseline!\n",
-                   Name.c_str(), Wide);
-      return false;
+    MegaSweepResult R;
+    if (Wide > 1) {
+      R = megaSweep(Csr, Sources, Wide, Reps);
+      if (R.Bits != Base.Bits) {
+        std::fprintf(stderr,
+                     "%s: L%u bitset diverges from the L1 baseline!\n",
+                     Name.c_str(), Wide);
+        return false;
+      }
+      Rows.emplace_back(Wide, &R);
     }
-    for (const auto &[Words, Run] :
-         {std::pair{1u, &Base}, std::pair{Wide, &R}}) {
+    for (const auto &[Words, Run] : Rows) {
       const double Speedup = Base.SweepSeconds / Run->SweepSeconds;
-      T.addRow({Name, Table::withCommas(N), Table::withCommas(G.numEdges()),
+      T.addRow({Name, Table::withCommas(N), Table::withCommas(Csr.numEdges()),
                 std::to_string(Words), Table::secondsStr(Run->SweepSeconds, 6),
                 Table::speedupStr(Speedup)});
       Json.beginRecord()
           .field("sweep", "mega_scale_lanes")
           .field("preset", Name)
           .field("nodes", static_cast<uint64_t>(N))
-          .field("edges", static_cast<uint64_t>(G.numEdges()))
+          .field("edges", static_cast<uint64_t>(Csr.numEdges()))
           .field("lane_words", static_cast<uint64_t>(Words))
           .field("sources", static_cast<uint64_t>(Want))
           .field("sweep_seconds", Run->SweepSeconds)

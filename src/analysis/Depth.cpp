@@ -8,7 +8,7 @@
 
 #include "analysis/SortInference.h"
 #include "analysis/WellConnected.h"
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 
 #include <algorithm>
 #include <cassert>
@@ -74,8 +74,10 @@ struct Edge {
 /// The weighted intra-module graph plus bookkeeping for state pins.
 struct DepthGraph {
   const Module *M = nullptr;
-  std::vector<Edge> Edges;
-  Graph Shape; // Unweighted, for the topological order.
+  CsrGraph Shape;
+  /// Per wire, the weights of its out-edges, aligned with
+  /// Shape.successors(wire).
+  CsrRows<uint32_t> Weights;
   /// Wires that feed state directly (register D, memory pins).
   std::vector<WireId> StatePinFeeds;
   /// (local input wire, instance, def input port) triples.
@@ -92,10 +94,9 @@ buildDepthGraph(const Design &D, const Module &M,
   (void)D;
   DepthGraph G;
   G.M = &M;
-  G.Shape = Graph(M.numWires());
+  std::vector<Edge> Edges;
   auto addEdge = [&](WireId From, WireId To, uint32_t Weight) {
-    G.Edges.push_back(Edge{From, To, Weight});
-    G.Shape.addEdge(From, To);
+    Edges.push_back(Edge{From, To, Weight});
   };
 
   for (const Net &N : M.Nets) {
@@ -138,6 +139,14 @@ buildDepthGraph(const Design &D, const Module &M,
     }
   }
 
+  G.Weights = CsrRows<uint32_t>(M.numWires());
+  G.Shape = CsrGraph::build(M.numWires(), [&](auto &&AddEdge) {
+    for (const Edge &E : Edges) {
+      AddEdge(E.From, E.To);
+      G.Weights.add(E.From, E.Weight);
+    }
+    G.Weights.endPass();
+  });
   std::optional<std::vector<uint32_t>> Topo = G.Shape.topoSort();
   if (!Topo)
     return std::nullopt;
@@ -152,15 +161,13 @@ std::vector<int64_t> longestPaths(const DepthGraph &G,
   std::vector<int64_t> Dist(G.M->numWires(), NegInf);
   for (const auto &[W, D] : Seeds)
     Dist[W] = std::max(Dist[W], D);
-  // Bucket edges by source once, then relax in topological order.
-  std::vector<std::vector<const Edge *>> BySource(G.M->numWires());
-  for (const Edge &E : G.Edges)
-    BySource[E.From].push_back(&E);
   for (WireId W : G.Topo) {
     if (Dist[W] == NegInf)
       continue;
-    for (const Edge *E : BySource[W])
-      Dist[E->To] = std::max(Dist[E->To], Dist[W] + E->Weight);
+    const std::span<const uint32_t> Succs = G.Shape.successors(W);
+    const std::span<const uint32_t> Weights = G.Weights[W];
+    for (size_t I = 0; I != Succs.size(); ++I)
+      Dist[Succs[I]] = std::max(Dist[Succs[I]], Dist[W] + Weights[I]);
   }
   return Dist;
 }
@@ -268,11 +275,11 @@ uint32_t analysis::circuitCriticalDepth(
     const std::map<ModuleId, ModuleSummary> &Summaries,
     const std::map<ModuleId, DepthSummary> &Depths) {
   PortGraph PG = PortGraph::build(Circ, Summaries);
-  std::optional<std::vector<uint32_t>> Topo = PG.graph().topoSort();
+  std::optional<std::vector<uint32_t>> Topo = PG.csr().topoSort();
   assert(Topo && "circuit must be well-connected");
 
   const auto &Insts = Circ.instances();
-  std::vector<int64_t> Dist(PG.graph().numNodes(), NegInf);
+  std::vector<int64_t> Dist(PG.csr().numNodes(), NegInf);
   int64_t Best = 0;
 
   // Seed every from-sync output with its from-state depth; instances'
@@ -311,11 +318,9 @@ uint32_t analysis::circuitCriticalDepth(
                      Dist[Node] + int64_t(Depth.pairDepth(Ref.Port, Out)));
       }
     } else {
-      for (const Connection &C : Circ.connections())
-        if (C.From.Inst == Ref.Inst && C.From.Port == Ref.Port) {
-          uint32_t Next = PG.nodeOf(C.To);
-          Dist[Next] = std::max(Dist[Next], Dist[Node]);
-        }
+      // Output ports carry only connection edges, of weight 0.
+      for (uint32_t Next : PG.csr().successors(Node))
+        Dist[Next] = std::max(Dist[Next], Dist[Node]);
     }
   }
   return static_cast<uint32_t>(std::max<int64_t>(Best, 0));

@@ -22,11 +22,13 @@ CombGraph CombGraph::build(const Module &M,
   CombGraph CG;
   CG.M = &M;
   CG.SubSummaries = &SubSummaries;
-  CG.G = Graph(M.numWires());
-  CG.Drivers.assign(M.numWires(), DriverRec{});
-  CG.Fanouts.assign(M.numWires(), FanoutRec{});
+  const size_t NumWires = M.numWires();
+  CG.Drivers.assign(NumWires, DriverRec{});
+  CG.NetFanout = CsrRows<NetId>(NumWires);
+  CG.InstFanout = CsrRows<std::pair<uint32_t, WireId>>(NumWires);
+  CG.AsyncMemAddr.assign(NumWires, 0);
 
-  for (WireId W = 0; W != M.numWires(); ++W) {
+  for (WireId W = 0; W != NumWires; ++W) {
     switch (M.wire(W).Kind) {
     case WireKind::Const:
       CG.Drivers[W].Kind = DriverKind::Const;
@@ -38,35 +40,29 @@ CombGraph CombGraph::build(const Module &M,
       break;
     }
   }
-
-  for (NetId N = 0; N != M.Nets.size(); ++N) {
-    const Net &Gate = M.Nets[N];
-    CG.Drivers[Gate.Output] = DriverRec{DriverKind::NetOut, N, InvalidId};
-    for (WireId In : Gate.Inputs) {
-      CG.G.addEdge(In, Gate.Output);
-      CG.Fanouts[In].Nets.push_back(N);
-    }
-  }
-
-  for (const Register &R : M.Registers) {
+  for (NetId N = 0; N != M.Nets.size(); ++N)
+    CG.Drivers[M.Nets[N].Output] = DriverRec{DriverKind::NetOut, N, InvalidId};
+  for (const Register &R : M.Registers)
     CG.Drivers[R.Q].Kind = DriverKind::RegQ;
-    CG.Fanouts[R.D].StatePins += 1;
-  }
-
   for (const Memory &Mem : M.Memories) {
-    if (Mem.SyncRead) {
-      CG.Drivers[Mem.RData].Kind = DriverKind::MemSync;
-      CG.Fanouts[Mem.RAddr].StatePins += 1;
-    } else {
-      CG.Drivers[Mem.RData].Kind = DriverKind::MemAsync;
-      CG.G.addEdge(Mem.RAddr, Mem.RData);
-      CG.Fanouts[Mem.RAddr].AsyncMemAddrPins += 1;
-    }
-    CG.Fanouts[Mem.WAddr].StatePins += 1;
-    CG.Fanouts[Mem.WData].StatePins += 1;
-    CG.Fanouts[Mem.WEnable].StatePins += 1;
+    CG.Drivers[Mem.RData].Kind =
+        Mem.SyncRead ? DriverKind::MemSync : DriverKind::MemAsync;
+    if (!Mem.SyncRead)
+      CG.AsyncMemAddr[Mem.RAddr] = 1;
   }
 
+  // Instance inputs resolved once through their definitions' summaries:
+  // each consumed local wire with its instance, definition port, and the
+  // run of local output wires it reaches in InstOuts. Both build passes
+  // replay this flat list instead of re-walking summary maps.
+  struct InstInput {
+    WireId Local;
+    uint32_t Inst;
+    WireId DefPort;
+    uint32_t OutsEnd;
+  };
+  std::vector<InstInput> InstIns;
+  std::vector<WireId> InstOuts;
   for (uint32_t InstIdx = 0; InstIdx != M.Instances.size(); ++InstIdx) {
     const SubInstance &Inst = M.Instances[InstIdx];
     auto SummaryIt = SubSummaries.find(Inst.Def);
@@ -91,21 +87,40 @@ CombGraph CombGraph::build(const Module &M,
       auto It = Sub.OutputPortSets.find(DefPort);
       if (It == Sub.OutputPortSets.end())
         continue; // An output binding.
-      CG.Fanouts[Local].InstInputs.emplace_back(InstIdx, DefPort);
       for (WireId DefOut : It->second) {
         assert(DefOut < OutLocal.size() && OutLocal[DefOut] != InvalidId &&
                "output port left unbound");
-        CG.G.addEdge(Local, OutLocal[DefOut]);
+        InstOuts.push_back(OutLocal[DefOut]);
       }
+      InstIns.push_back({Local, InstIdx, DefPort,
+                         static_cast<uint32_t>(InstOuts.size())});
     }
   }
-  return CG;
-}
 
-const CsrGraph &CombGraph::frozen() const {
-  if (!Frozen)
-    Frozen = CsrGraph::freeze(G, CsrGraph::ForwardOnly);
-  return *Frozen;
+  // Edges in net order, then asynchronous reads, then instance summary
+  // edges; the fanout rows fill in the same two passes.
+  CG.G = CsrGraph::buildTraced(NumWires, [&](auto &&Edge) {
+    for (NetId N = 0; N != M.Nets.size(); ++N) {
+      const Net &Gate = M.Nets[N];
+      for (WireId In : Gate.Inputs) {
+        Edge(In, Gate.Output);
+        CG.NetFanout.add(In, N);
+      }
+    }
+    for (const Memory &Mem : M.Memories)
+      if (!Mem.SyncRead)
+        Edge(Mem.RAddr, Mem.RData);
+    uint32_t OutsBegin = 0;
+    for (const InstInput &In : InstIns) {
+      CG.InstFanout.add(In.Local, {In.Inst, In.DefPort});
+      for (uint32_t I = OutsBegin; I != In.OutsEnd; ++I)
+        Edge(In.Local, InstOuts[I]);
+      OutsBegin = In.OutsEnd;
+    }
+    CG.NetFanout.endPass();
+    CG.InstFanout.endPass();
+  });
+  return CG;
 }
 
 std::vector<WireId> CombGraph::reachableOutputPorts(WireId From) const {
@@ -139,7 +154,7 @@ CombGraph::allOutputPortSets(const support::Deadline *DL) const {
   // the input count (up to 512 sources per sweep), so a wide module
   // pays ceil(K/512) sweeps instead of ceil(K/64).
   static thread_local ReachabilityKernel::Scratch SweepScratch;
-  ReachabilityKernel Kernel(frozen(), SweepScratch,
+  ReachabilityKernel Kernel(G, SweepScratch,
                             ReachabilityKernel::laneWordsFor(Ins.size()));
   const uint32_t Lanes = Kernel.laneCount();
   const uint32_t LaneWords = Kernel.laneWords();
@@ -178,11 +193,11 @@ CombGraph::allOutputPortSets(const support::Deadline *DL) const {
 }
 
 std::optional<support::Diag> CombGraph::findCombLoop() const {
-  if (frozen().isAcyclic())
-    return std::nullopt;
-  // A loop exists; pay for the cycle walk only on this error path.
+  // The acyclic verdict came with the build; walk a cycle only on this
+  // error path.
   std::optional<std::vector<uint32_t>> Cycle = G.findCycle();
-  assert(Cycle && "frozen snapshot says cyclic but no cycle found");
+  if (!Cycle)
+    return std::nullopt;
   support::Diag D(support::DiagCode::WS101_COMB_LOOP,
                   "combinational loop in module '" + M->Name + "'");
   for (uint32_t Node : *Cycle)
@@ -202,10 +217,9 @@ bool CombGraph::feedsStateDirectly(WireId In) const {
     Work.pop_back();
     if (M->wire(W).Kind == WireKind::Output)
       return false; // Reaches a port: the wire is not to-sync at all.
-    const FanoutRec &F = Fanouts[W];
-    if (F.AsyncMemAddrPins != 0)
+    if (AsyncMemAddr[W])
       return false; // Asynchronous read is combinational logic.
-    for (NetId N : F.Nets) {
+    for (NetId N : NetFanout[W]) {
       const Net &Gate = M->Nets[N];
       if (Gate.Operation != Op::Buf)
         return false; // Real combinational logic in the way.
@@ -214,7 +228,7 @@ bool CombGraph::feedsStateDirectly(WireId In) const {
         Work.push_back(Gate.Output);
       }
     }
-    for (const auto &[InstIdx, DefPort] : F.InstInputs) {
+    for (const auto &[InstIdx, DefPort] : InstFanout[W]) {
       const ModuleSummary &Sub =
           SubSummaries->at(M->Instances[InstIdx].Def);
       if (Sub.sortOf(DefPort) != Sort::ToSync ||

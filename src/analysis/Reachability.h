@@ -32,7 +32,6 @@
 #include "ir/Module.h"
 #include "support/CsrGraph.h"
 #include "support/Diag.h"
-#include "support/Graph.h"
 
 #include <map>
 #include <optional>
@@ -63,16 +62,12 @@ public:
                          const std::map<ir::ModuleId, ModuleSummary>
                              &SubSummaries);
 
-  /// Node ids coincide with WireIds of the module.
-  const Graph &graph() const { return G; }
-
-  /// The frozen CSR snapshot of \ref graph, built lazily on first use and
-  /// shared by every query that needs the graph's structure settled:
-  /// \ref findCombLoop reads its acyclicity verdict and
-  /// \ref allOutputPortSets sweeps its condensation, so Stage-1 inference
-  /// pays for one freeze (one ordering pass), not one per query. Not
-  /// thread-safe: a CombGraph belongs to a single inference task.
-  const CsrGraph &frozen() const;
+  /// The graph in CSR form, built and ordered by \ref build; node ids
+  /// coincide with the module's WireIds. Its ordering is shared by every
+  /// query that needs the graph's structure settled: \ref findCombLoop
+  /// reads its acyclicity verdict and \ref allOutputPortSets sweeps its
+  /// condensation.
+  const CsrGraph &frozen() const { return G; }
 
   /// Forward-reachable module \b output ports from \p From, sorted.
   /// This is output-ports(M, From) when \p From is an input port.
@@ -83,9 +78,9 @@ public:
   std::vector<ir::WireId> reachableOutputPorts(ir::WireId From) const;
 
   /// output-ports(M, win) for every input port at once, via the
-  /// bit-parallel CSR kernel (support/CsrGraph.h): the graph is frozen
-  /// once and a module with K inputs costs ceil(K/64) sweeps over the
-  /// edge array instead of K BFS traversals. Bit-identical to calling
+  /// bit-parallel CSR kernel (support/CsrGraph.h): a module with K
+  /// inputs costs ceil(K/64) sweeps over the edge array instead of K BFS
+  /// traversals. Bit-identical to calling
   /// \ref reachableOutputPorts per input.
   std::map<ir::WireId, std::vector<ir::WireId>> allOutputPortSets() const;
 
@@ -100,8 +95,8 @@ public:
   /// instance summaries) contains a combinational cycle, else
   /// std::nullopt. The witness path is cyclic — hop i feeds hop i+1 and
   /// the last hop feeds the first — with each hop (ModuleName, wireName).
-  /// The acyclic fast path is free once the graph is \ref frozen; the
-  /// cycle walk (Graph::findCycle) runs only on the error path, where a
+  /// The acyclic fast path is free once the graph is built; the cycle
+  /// walk (CsrGraph::findCycle) runs only on the error path, where a
   /// readable diagnostic is worth a second traversal.
   std::optional<support::Diag> findCombLoop() const;
 
@@ -125,24 +120,18 @@ private:
     /// InstOut: the definition's output port id.
     ir::WireId DefPort = ir::InvalidId;
   };
-  struct FanoutRec {
-    /// Nets consuming the wire.
-    std::vector<ir::NetId> Nets;
-    /// (instance id, definition input port) pairs consuming the wire.
-    std::vector<std::pair<uint32_t, ir::WireId>> InstInputs;
-    /// Number of state pins consuming the wire (reg D, sync-mem pins).
-    uint32_t StatePins = 0;
-    /// Number of asynchronous-memory read-address pins consuming it.
-    uint32_t AsyncMemAddrPins = 0;
-  };
 
   const ir::Module *M = nullptr;
   const std::map<ir::ModuleId, ModuleSummary> *SubSummaries = nullptr;
-  Graph G;
-  /// Lazy CSR snapshot; see \ref frozen.
-  mutable std::optional<CsrGraph> Frozen;
+  CsrGraph G;
   std::vector<DriverRec> Drivers;
-  std::vector<FanoutRec> Fanouts;
+  /// Per wire, the nets consuming it, in net order.
+  CsrRows<ir::NetId> NetFanout;
+  /// Per wire, the (instance id, definition input port) pairs consuming
+  /// it, in instance order.
+  CsrRows<std::pair<uint32_t, ir::WireId>> InstFanout;
+  /// Per wire, 1 iff an asynchronous-memory read address consumes it.
+  std::vector<uint8_t> AsyncMemAddr;
 };
 
 } // namespace wiresort::analysis

@@ -43,7 +43,7 @@ analysis::inferSummary(const Design &D, ModuleId Id,
   Summary.ModuleName = M.Name;
 
   // Forward pass, batched 64 input ports per machine word: ceil(K/64)
-  // sweeps over the frozen CSR edge array instead of K BFS traversals
+  // sweeps over the comb graph's CSR edge array instead of K BFS traversals
   // (bit-identical to the per-port BFS; see docs/KERNEL.md). The sweeps
   // poll the deadline; a fired one abandons the module.
   auto Sets = CG.allOutputPortSets(DL);

@@ -10,6 +10,7 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace {
@@ -55,61 +56,66 @@ PortGraph PortGraph::build(const Circuit &Circ,
   PortGraph PG;
   const auto &Insts = Circ.instances();
   const Design &D = Circ.design();
-  PG.InstBase.resize(Insts.size());
+  PG.InstBase.resize(Insts.size() + 1);
   PG.InstDef.resize(Insts.size());
   PG.DefSlots.resize(D.numModules());
+  PG.DefPorts.resize(D.numModules());
 
+  // Per definition, once: the port <-> slot maps and its summary edges
+  // as (input slot, output slot) pairs, in output-port-set order. Every
+  // instance replays its definition's pairs at its own base.
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> DefPairs(
+      D.numModules());
+  std::vector<uint8_t> Seen(D.numModules(), 0);
+  uint32_t NumNodes = 0;
   for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
     const ModuleId DefId = Insts[Inst].Def;
     const Module &Def = D.module(DefId);
     PG.InstDef[Inst] = DefId;
-    PG.InstBase[Inst] = static_cast<uint32_t>(PG.Refs.size());
-    // Port -> slot mapping, built once per definition and shared by all
-    // of its instances (dense vector; maps here were a profile hot spot).
+    PG.InstBase[Inst] = NumNodes;
+    NumNodes += static_cast<uint32_t>(Def.numPorts());
+    if (Seen[DefId])
+      continue;
+    Seen[DefId] = 1;
+    std::vector<WireId> &Ports = PG.DefPorts[DefId];
+    Ports = Def.Inputs;
+    Ports.insert(Ports.end(), Def.Outputs.begin(), Def.Outputs.end());
     std::vector<uint32_t> &Slots = PG.DefSlots[DefId];
-    if (Slots.empty() && Def.numPorts() != 0) {
+    if (!Ports.empty())
       Slots.assign(Def.numWires(), InvalidId);
-      uint32_t Next = 0;
-      for (WireId Port : Def.Inputs)
-        Slots[Port] = Next++;
-      for (WireId Port : Def.Outputs)
-        Slots[Port] = Next++;
+    for (uint32_t Slot = 0; Slot != Ports.size(); ++Slot)
+      Slots[Ports[Slot]] = Slot;
+    for (const auto &[In, Outs] : Summaries.at(DefId).OutputPortSets)
+      for (WireId Out : Outs)
+        DefPairs[DefId].emplace_back(Slots[In], Slots[Out]);
+  }
+  PG.InstBase[Insts.size()] = NumNodes;
+
+  // Summary edges (input -> each member of its output-port-set), then
+  // connection edges.
+  PG.Csr = CsrGraph::buildTraced(NumNodes, [&](auto &&Edge) {
+    for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
+      const uint32_t Base = PG.InstBase[Inst];
+      for (const auto &[In, Out] : DefPairs[PG.InstDef[Inst]])
+        Edge(Base + In, Base + Out);
     }
-    for (WireId Port : Def.Inputs)
-      PG.Refs.push_back(PortRef{Inst, Port});
-    for (WireId Port : Def.Outputs)
-      PG.Refs.push_back(PortRef{Inst, Port});
-  }
-  PG.G = Graph(PG.Refs.size());
-
-  // Summary edges: input -> each member of its output-port-set.
-  for (InstId Inst = 0; Inst != Insts.size(); ++Inst) {
-    const ModuleSummary &Summary = Summaries.at(Insts[Inst].Def);
-    for (const auto &[In, Outs] : Summary.OutputPortSets) {
-      uint32_t InNode = PG.nodeOf(PortRef{Inst, In});
-      for (WireId Out : Outs) {
-        PG.G.addEdge(InNode, PG.nodeOf(PortRef{Inst, Out}));
-        ++PG.SummaryEdges;
-      }
-    }
-  }
-
-  // Connection edges.
-  for (const Connection &C : Circ.connections()) {
-    PG.G.addEdge(PG.nodeOf(C.From), PG.nodeOf(C.To));
-    ++PG.ConnectionEdges;
-  }
-
-  // Freeze for the Stage-3 closure kernel: one ordering pass up front
-  // (Kahn; Tarjan only if the port graph turns out cyclic) that also
-  // settles checkCircuit's loop verdict. The pairwise checker then
-  // sweeps 64 ports per word over the CSR arrays.
-  PG.Csr = CsrGraph::freeze(PG.G, CsrGraph::ForwardOnly);
+    for (const Connection &C : Circ.connections())
+      Edge(PG.nodeOf(C.From), PG.nodeOf(C.To));
+  });
+  PG.ConnectionEdges = Circ.connections().size();
+  PG.SummaryEdges = PG.Csr.numEdges() - PG.ConnectionEdges;
   return PG;
 }
 
+PortRef PortGraph::refOf(uint32_t Node) const {
+  const InstId Inst = static_cast<InstId>(
+      std::upper_bound(InstBase.begin(), InstBase.end(), Node) -
+      InstBase.begin() - 1);
+  return PortRef{Inst, DefPorts[InstDef[Inst]][Node - InstBase[Inst]]};
+}
+
 bool PortGraph::transitivelyAffects(PortRef W1, PortRef W2) const {
-  return G.reaches(nodeOf(W1), nodeOf(W2));
+  return Csr.reaches(nodeOf(W1), nodeOf(W2));
 }
 
 namespace {
@@ -162,8 +168,7 @@ analysis::checkCircuit(const Circuit &Circ,
     Result.WellConnected = true;
   } else {
     // A loop exists; walk it only on this error path for the diagnostic.
-    std::optional<std::vector<uint32_t>> Cycle = PG.graph().findCycle();
-    assert(Cycle && "frozen snapshot says cyclic but no cycle found");
+    std::optional<std::vector<uint32_t>> Cycle = PG.csr().findCycle();
     support::Diag Diag(support::DiagCode::WS101_COMB_LOOP,
                        "combinational loop in circuit '" + Circ.name() +
                            "'");

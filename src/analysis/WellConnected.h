@@ -33,7 +33,6 @@
 #include "ir/Circuit.h"
 #include "support/CsrGraph.h"
 #include "support/Diag.h"
-#include "support/Graph.h"
 
 #include <cassert>
 #include <map>
@@ -66,11 +65,9 @@ public:
                          const std::map<ir::ModuleId, ModuleSummary>
                              &Summaries);
 
-  const Graph &graph() const { return G; }
-
-  /// Frozen CSR snapshot of \ref graph, taken at build time: the
-  /// bit-parallel closure kernel (support/CsrGraph.h) runs Stage-3
-  /// pairwise checking over it.
+  /// The graph in CSR form, ordered at build time: its acyclicity is
+  /// checkCircuit's verdict, and the bit-parallel closure kernel
+  /// (support/CsrGraph.h) runs Stage-3 pairwise checking over it.
   const CsrGraph &csr() const { return Csr; }
 
   uint32_t nodeOf(ir::PortRef Ref) const {
@@ -78,7 +75,7 @@ public:
     assert(Slot != ir::InvalidId && "wire is not a port of the instance");
     return InstBase[Ref.Inst] + Slot;
   }
-  ir::PortRef refOf(uint32_t Node) const { return Refs[Node]; }
+  ir::PortRef refOf(uint32_t Node) const;
   size_t numSummaryEdges() const { return SummaryEdges; }
   size_t numConnectionEdges() const { return ConnectionEdges; }
 
@@ -86,15 +83,16 @@ public:
   bool transitivelyAffects(ir::PortRef W1, ir::PortRef W2) const;
 
 private:
-  Graph G;
   CsrGraph Csr;
-  std::vector<ir::PortRef> Refs;
   /// Flat node index: node id = InstBase[inst] + DefSlots[def][port].
   /// DefSlots is shared across instances of the same definition; slots
-  /// run inputs-then-outputs in declaration order.
+  /// run inputs-then-outputs in declaration order, and DefPorts maps a
+  /// slot back to its port. InstBase has one entry past the last
+  /// instance: the node count.
   std::vector<uint32_t> InstBase;
   std::vector<ir::ModuleId> InstDef;
   std::vector<std::vector<uint32_t>> DefSlots;
+  std::vector<std::vector<ir::WireId>> DefPorts;
   size_t SummaryEdges = 0;
   size_t ConnectionEdges = 0;
 };

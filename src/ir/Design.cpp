@@ -6,7 +6,7 @@
 
 #include "ir/Design.h"
 
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 
 #include <cassert>
 
@@ -30,11 +30,12 @@ ModuleId Design::findModule(const std::string &Name) const {
 }
 
 std::optional<std::vector<ModuleId>> Design::topologicalModuleOrder() const {
-  Graph G(Modules.size());
-  for (ModuleId Id = 0; Id != Modules.size(); ++Id)
-    for (const SubInstance &Inst : Modules[Id]->Instances)
-      if (Inst.Def < Modules.size())
-        G.addEdge(Inst.Def, Id);
+  const CsrGraph G = CsrGraph::build(Modules.size(), [&](auto &&Edge) {
+    for (ModuleId Id = 0; Id != Modules.size(); ++Id)
+      for (const SubInstance &Inst : Modules[Id]->Instances)
+        if (Inst.Def < Modules.size())
+          Edge(Inst.Def, Id);
+  });
   return G.topoSort();
 }
 

@@ -1,4 +1,4 @@
-//===- support/CsrGraph.cpp - Frozen CSR graph + bit-parallel reach -------===//
+//===- support/CsrGraph.cpp - CSR graph + bit-parallel reach --------------===//
 //
 // Part of the wiresort project.
 //
@@ -20,6 +20,8 @@ namespace {
 /// How many blocks a sweep processes between deadline polls — the
 /// kernel's cancellation granularity (docs/ROBUSTNESS.md).
 constexpr uint32_t PollGrain = 4096;
+
+constexpr uint32_t Unvisited = UINT32_MAX;
 
 /// Amortized deadline poll: one decrement per block, and a clock read
 /// (plus the kernel.cancel failpoint, which simulates expiry
@@ -93,63 +95,39 @@ bool propagate(const uint32_t *Row, const uint32_t *Col, uint64_t *Mask,
 
 } // namespace
 
-CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
+void CsrGraph::recordFreeze(uint64_t T0) const {
   static trace::Counter &Freezes = trace::counter("kernel.freezes");
-  static trace::Counter &Repairs =
+  static trace::Counter &RepairCount =
       trace::counter("kernel.freeze_repairs");
   static trace::Histogram &FreezeUs = trace::histogram("kernel.freeze_us");
-  trace::Span FreezeSpan("kernel.freeze", "kernel");
-  const bool Timed = trace::countersEnabled();
-  const uint64_t T0 = Timed ? trace::detail::nowNs() : 0;
   Freezes.add();
-  CsrGraph C;
-  const size_t N = G.numNodes();
-  FreezeSpan.note("nodes", static_cast<uint64_t>(N));
+  // Descending edges defeated the identity-order proof; every one is a
+  // repair the near-sorted pass (or Tarjan fallback) had to absorb.
+  if (Repairs != 0)
+    RepairCount.add(Repairs);
+  if (trace::countersEnabled())
+    FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
+}
 
-  // Forward CSR: count, prefix-sum, fill. The fill pass doubles as the
-  // reverse-edge count (in-degrees), saving one scan of the edge array.
-  C.FwdRow.assign(N + 1, 0);
-  for (uint32_t Node = 0; Node != N; ++Node)
-    C.FwdRow[Node + 1] =
-        C.FwdRow[Node] + static_cast<uint32_t>(G.successors(Node).size());
-  C.FwdCol.resize(C.FwdRow[N]);
-  C.RevRow.assign(N + 1, 0);
-  std::vector<uint32_t> DescTargets;
-  for (uint32_t Node = 0, At = 0; Node != N; ++Node)
-    for (uint32_t Succ : G.successors(Node)) {
-      C.FwdCol[At++] = Succ;
-      ++C.RevRow[Succ + 1];
-      if (Succ <= Node)
-        DescTargets.push_back(Succ);
-    }
-
-  // Reverse row offsets (in-degrees) always — counted during the fill.
-  // The reverse column fill is a full extra pass over the edges, so it
-  // is materialized only when the caller asked for predecessors.
-  for (uint32_t Node = 0; Node != N; ++Node)
-    C.RevRow[Node + 1] += C.RevRow[Node];
-  if (Dirs == ForwardAndReverse) {
-    C.RevCol.resize(C.FwdCol.size());
-    std::vector<uint32_t> Next(C.RevRow.begin(), C.RevRow.end() - 1);
-    for (uint32_t Node = 0; Node != N; ++Node)
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        C.RevCol[Next[C.FwdCol[Idx]]++] = Node;
-  }
+void CsrGraph::order() {
+  const uint32_t N = static_cast<uint32_t>(numNodes());
+  const uint32_t *Row = Fwd.rowData();
+  const uint32_t *Col = Fwd.colData();
 
   // Synthesized netlists create wires in dependency order, so comb edges
   // usually ascend — node ids then ARE a topological order, the graph is
-  // proven acyclic by the fill pass above, and the kernel layout is the
+  // proven acyclic by this one scan, and the kernel layout is the
   // identity: the forward CSR doubles as the kernel CSR at zero cost.
   // Every cycle must contain a descending edge, so an all-ascending
   // graph needs no further proof.
-  if (DescTargets.empty()) {
-    if (Timed)
-      FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-    return C;
-  }
-  // Descending edges defeated the identity-order proof; every one is a
-  // repair the near-sorted pass (or Tarjan fallback) must absorb.
-  Repairs.add(DescTargets.size());
+  std::vector<uint32_t> DescTargets;
+  for (uint32_t Node = 0; Node != N; ++Node)
+    for (uint32_t Idx = Row[Node]; Idx != Row[Node + 1]; ++Idx)
+      if (Col[Idx] <= Node)
+        DescTargets.push_back(Col[Idx]);
+  if (DescTargets.empty())
+    return;
+  Repairs = static_cast<uint32_t>(DescTargets.size());
 
   // Near-sorted repair: only nodes downstream of a descending edge can
   // be mis-placed by the identity order. That repair set R (the forward
@@ -177,8 +155,8 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
     while (!Work.empty()) {
       const uint32_t Node = Work.back();
       Work.pop_back();
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        enter(C.FwdCol[Idx]);
+      for (uint32_t Idx = Row[Node]; Idx != Row[Node + 1]; ++Idx)
+        enter(Col[Idx]);
     }
 
     // In-R in-degrees: edges from outside R are satisfied by the time R
@@ -186,8 +164,8 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
     // successor-closedness again) gate a node's readiness.
     std::vector<uint32_t> InDegR(N, 0);
     for (uint32_t Node : RNodes)
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        ++InDegR[C.FwdCol[Idx]];
+      for (uint32_t Idx = Row[Node]; Idx != Row[Node + 1]; ++Idx)
+        ++InDegR[Col[Idx]];
     std::vector<uint32_t> ROrder;
     ROrder.reserve(RNodes.size());
     for (uint32_t Node : RNodes)
@@ -195,15 +173,14 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
         ROrder.push_back(Node);
     for (size_t At = 0; At != ROrder.size(); ++At) {
       const uint32_t Node = ROrder[At];
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        if (--InDegR[C.FwdCol[Idx]] == 0)
-          ROrder.push_back(C.FwdCol[Idx]);
+      for (uint32_t Idx = Row[Node]; Idx != Row[Node + 1]; ++Idx)
+        if (--InDegR[Col[Idx]] == 0)
+          ROrder.push_back(Col[Idx]);
     }
     Cyclic = ROrder.size() != RNodes.size();
 
     if (!Cyclic) {
-      // A valid topological order, used below as the kernel layout's
-      // level-computation schedule.
+      // A valid topological order, used below as the kernel layout.
       TopoOrder.reserve(N);
       for (uint32_t Node = 0; Node != N; ++Node)
         if (!InR[Node])
@@ -213,12 +190,6 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
   }
 
   if (!Cyclic) {
-    if (L == Plain) {
-      C.KernelLayoutOk = false;
-      if (Timed)
-        FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-      return C;
-    }
     // Blocked kernel layout, acyclic repaired case. The repair order is
     // already a valid total order (every edge position-ascending): non-R
     // nodes keep ascending netlist ids — the order they were created in,
@@ -226,45 +197,37 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
     // the repair set is appended topologically. Using it directly keeps
     // the layout pass at one O(N + E) kernel-CSR fill; a longest-path
     // level sort buys nothing the sweep can measure and costs ~5x the
-    // rest of freeze on register-dominated graphs.
-    C.KernelPos.resize(N);
+    // rest of the build on register-dominated graphs.
+    KernelPos.resize(N);
     for (uint32_t P = 0; P != N; ++P)
-      C.KernelPos[TopoOrder[P]] = P;
-    C.KernelRow.reserve(N + 1);
-    C.KernelRow.push_back(0);
-    C.KernelCol.resize(C.FwdCol.size());
+      KernelPos[TopoOrder[P]] = P;
+    KernelRow.reserve(N + 1);
+    KernelRow.push_back(0);
+    KernelCol.resize(numEdges());
     for (uint32_t P = 0, At = 0; P != N; ++P) {
       const uint32_t Node = TopoOrder[P];
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx)
-        C.KernelCol[At++] = C.KernelPos[C.FwdCol[Idx]];
-      C.KernelRow.push_back(At);
+      for (uint32_t Idx = Row[Node]; Idx != Row[Node + 1]; ++Idx)
+        KernelCol[At++] = KernelPos[Col[Idx]];
+      KernelRow.push_back(At);
     }
-    if (Timed)
-      FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-    return C;
+    return;
   }
 
   // Cyclic: condense once with Tarjan. Component ids come out in reverse
   // topological order of the condensation, and the member nodes are
   // grouped for the kernel-layout pass and witness decoding.
-  C.Acyclic = false;
-  C.Comp = G.tarjanScc(C.NumComps);
-  C.CompRow.assign(C.NumComps + 1, 0);
-  for (uint32_t CompId : C.Comp)
-    ++C.CompRow[CompId + 1];
-  for (uint32_t CompId = 0; CompId != C.NumComps; ++CompId)
-    C.CompRow[CompId + 1] += C.CompRow[CompId];
-  C.CompNodes.resize(N);
+  Acyclic = false;
+  tarjan();
+  CompRow.assign(NumComps + 1, 0);
+  for (uint32_t CompId : Comp)
+    ++CompRow[CompId + 1];
+  for (uint32_t CompId = 0; CompId != NumComps; ++CompId)
+    CompRow[CompId + 1] += CompRow[CompId];
+  CompNodes.resize(N);
   {
-    std::vector<uint32_t> Next(C.CompRow.begin(), C.CompRow.end() - 1);
+    std::vector<uint32_t> Next(CompRow.begin(), CompRow.end() - 1);
     for (uint32_t Node = 0; Node != N; ++Node)
-      C.CompNodes[Next[C.Comp[Node]]++] = Node;
-  }
-  if (L == Plain) {
-    C.KernelLayoutOk = false;
-    if (Timed)
-      FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-    return C;
+      CompNodes[Next[Comp[Node]]++] = Node;
   }
 
   // Blocked kernel layout, cyclic case: position = reversed Tarjan id
@@ -273,34 +236,195 @@ CsrGraph CsrGraph::freeze(const Graph &G, Edges Dirs, Layout L) {
   // each SCC to one row — intra-block edges dropped, parallel
   // cross-block edges deduplicated with a stamp — so sweeps never
   // re-walk componentNodes or re-OR a successor per member edge.
-  C.KernelPos.resize(C.NumComps);
-  for (uint32_t CompId = 0; CompId != C.NumComps; ++CompId)
-    C.KernelPos[CompId] = C.NumComps - 1 - CompId;
-  C.KernelRow.reserve(C.NumComps + 1);
-  C.KernelRow.push_back(0);
-  std::vector<uint32_t> Stamp(C.NumComps, UINT32_MAX);
-  for (uint32_t P = 0; P != C.NumComps; ++P) {
-    const uint32_t CompId = C.NumComps - 1 - P;
-    for (uint32_t Node : C.componentNodes(CompId))
-      for (uint32_t Idx = C.FwdRow[Node]; Idx != C.FwdRow[Node + 1]; ++Idx) {
-        const uint32_t Q = C.KernelPos[C.Comp[C.FwdCol[Idx]]];
+  KernelPos.resize(NumComps);
+  for (uint32_t CompId = 0; CompId != NumComps; ++CompId)
+    KernelPos[CompId] = NumComps - 1 - CompId;
+  KernelRow.reserve(NumComps + 1);
+  KernelRow.push_back(0);
+  std::vector<uint32_t> Stamp(NumComps, UINT32_MAX);
+  for (uint32_t P = 0; P != NumComps; ++P) {
+    const uint32_t CompId = NumComps - 1 - P;
+    for (uint32_t Node : componentNodes(CompId))
+      for (uint32_t Idx = Row[Node]; Idx != Row[Node + 1]; ++Idx) {
+        const uint32_t Q = KernelPos[Comp[Col[Idx]]];
         if (Q != P && Stamp[Q] != P) {
           Stamp[Q] = P;
-          C.KernelCol.push_back(Q);
+          KernelCol.push_back(Q);
         }
       }
-    C.KernelRow.push_back(static_cast<uint32_t>(C.KernelCol.size()));
+    KernelRow.push_back(static_cast<uint32_t>(KernelCol.size()));
   }
-  if (Timed)
-    FreezeUs.record((trace::detail::nowNs() - T0) / 1000);
-  return C;
+}
+
+void CsrGraph::tarjan() {
+  const uint32_t N = static_cast<uint32_t>(numNodes());
+  std::vector<uint32_t> Index(N, Unvisited);
+  std::vector<uint32_t> LowLink(N, 0);
+  std::vector<bool> OnStack(N, false);
+  Comp.assign(N, Unvisited);
+  std::vector<uint32_t> Stack;
+  uint32_t NextIndex = 0;
+  NumComps = 0;
+
+  // Iterative Tarjan (safe on million-node graphs): each frame records
+  // the node and the position within its successor list so the DFS can
+  // resume after returning from a child.
+  struct Frame {
+    uint32_t Node;
+    uint32_t SuccPos;
+  };
+  std::vector<Frame> CallStack;
+
+  for (uint32_t Root = 0; Root != N; ++Root) {
+    if (Index[Root] != Unvisited)
+      continue;
+    CallStack.push_back({Root, 0});
+    Index[Root] = LowLink[Root] = NextIndex++;
+    Stack.push_back(Root);
+    OnStack[Root] = true;
+
+    while (!CallStack.empty()) {
+      Frame &F = CallStack.back();
+      const std::span<const uint32_t> Out = successors(F.Node);
+      if (F.SuccPos < Out.size()) {
+        uint32_t Child = Out[F.SuccPos++];
+        if (Index[Child] == Unvisited) {
+          Index[Child] = LowLink[Child] = NextIndex++;
+          Stack.push_back(Child);
+          OnStack[Child] = true;
+          CallStack.push_back({Child, 0});
+        } else if (OnStack[Child] && Index[Child] < LowLink[F.Node]) {
+          LowLink[F.Node] = Index[Child];
+        }
+        continue;
+      }
+      // All successors done: maybe pop an SCC, then return to parent.
+      if (LowLink[F.Node] == Index[F.Node]) {
+        uint32_t Member;
+        do {
+          Member = Stack.back();
+          Stack.pop_back();
+          OnStack[Member] = false;
+          Comp[Member] = NumComps;
+        } while (Member != F.Node);
+        ++NumComps;
+      }
+      uint32_t Done = F.Node;
+      CallStack.pop_back();
+      if (!CallStack.empty()) {
+        uint32_t Parent = CallStack.back().Node;
+        if (LowLink[Done] < LowLink[Parent])
+          LowLink[Parent] = LowLink[Done];
+      }
+    }
+  }
+}
+
+std::optional<std::vector<uint32_t>> CsrGraph::findCycle() const {
+  if (Acyclic)
+    return std::nullopt;
+  const uint32_t N = static_cast<uint32_t>(numNodes());
+
+  // Self-loop: the smallest possible cycle.
+  for (uint32_t Node = 0; Node != N; ++Node)
+    for (uint32_t Succ : successors(Node))
+      if (Succ == Node)
+        return std::vector<uint32_t>{Node};
+
+  // Otherwise find a node in a nontrivial SCC and walk within the SCC
+  // until a node repeats; the walk can never escape an SCC if we only
+  // follow intra-SCC edges.
+  for (uint32_t Start = 0; Start != N; ++Start) {
+    if (componentNodes(Comp[Start]).size() <= 1)
+      continue;
+    std::vector<uint32_t> Path;
+    std::vector<uint32_t> PosInPath(N, Unvisited);
+    uint32_t Cur = Start;
+    while (true) {
+      if (PosInPath[Cur] != Unvisited)
+        return std::vector<uint32_t>(Path.begin() + PosInPath[Cur],
+                                     Path.end());
+      PosInPath[Cur] = static_cast<uint32_t>(Path.size());
+      Path.push_back(Cur);
+      uint32_t Next = Unvisited;
+      for (uint32_t Succ : successors(Cur)) {
+        if (Comp[Succ] == Comp[Cur]) {
+          Next = Succ;
+          break;
+        }
+      }
+      assert(Next != Unvisited && "nontrivial SCC node lacks intra-SCC edge");
+      Cur = Next;
+    }
+  }
+  assert(false && "cyclic graph without a cycle");
+  return std::nullopt;
+}
+
+std::optional<std::vector<uint32_t>> CsrGraph::topoSort() const {
+  if (!Acyclic)
+    return std::nullopt;
+  const uint32_t N = static_cast<uint32_t>(numNodes());
+  std::vector<uint32_t> InDegree(N, 0);
+  for (uint32_t Idx = 0; Idx != numEdges(); ++Idx)
+    ++InDegree[Fwd.colData()[Idx]];
+
+  // Order doubles as the FIFO queue: nodes are emitted in the order
+  // they become ready.
+  std::vector<uint32_t> Order;
+  Order.reserve(N);
+  for (uint32_t Node = 0; Node != N; ++Node)
+    if (InDegree[Node] == 0)
+      Order.push_back(Node);
+  for (size_t At = 0; At != Order.size(); ++At)
+    for (uint32_t Succ : successors(Order[At]))
+      if (--InDegree[Succ] == 0)
+        Order.push_back(Succ);
+  assert(Order.size() == N && "acyclic graph failed to sort");
+  return Order;
+}
+
+std::vector<bool> CsrGraph::reachableFrom(uint32_t Start) const {
+  std::vector<bool> Seen(numNodes(), false);
+  std::vector<uint32_t> Work{Start};
+  Seen[Start] = true;
+  while (!Work.empty()) {
+    uint32_t Node = Work.back();
+    Work.pop_back();
+    for (uint32_t Succ : successors(Node)) {
+      if (!Seen[Succ]) {
+        Seen[Succ] = true;
+        Work.push_back(Succ);
+      }
+    }
+  }
+  return Seen;
+}
+
+bool CsrGraph::reaches(uint32_t From, uint32_t To) const {
+  if (From == To)
+    return true;
+  std::vector<bool> Seen(numNodes(), false);
+  std::vector<uint32_t> Work{From};
+  Seen[From] = true;
+  while (!Work.empty()) {
+    uint32_t Node = Work.back();
+    Work.pop_back();
+    for (uint32_t Succ : successors(Node)) {
+      if (Succ == To)
+        return true;
+      if (!Seen[Succ]) {
+        Seen[Succ] = true;
+        Work.push_back(Succ);
+      }
+    }
+  }
+  return false;
 }
 
 ReachabilityKernel::ReachabilityKernel(const CsrGraph &G, Scratch &S,
                                        uint32_t LaneWords)
     : G(&G), S(&S), L(LaneWords), NumBlocks(G.numComponents()) {
-  assert(G.hasKernelLayout() &&
-         "kernel requires a freeze with Layout::Kernel");
   assert((LaneWords == 1 || LaneWords == 2 || LaneWords == 4 ||
           LaneWords == 8) &&
          "lane rows are 1, 2, 4 or 8 words");

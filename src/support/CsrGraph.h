@@ -1,4 +1,4 @@
-//===- support/CsrGraph.h - Frozen CSR graph + bit-parallel reach -*- C++ -*-===//
+//===- support/CsrGraph.h - CSR graph + bit-parallel reach ------*- C++ -*-===//
 //
 // Part of the wiresort project, a reproduction of "Wire Sorts: A Language
 // Abstraction for Safe Hardware Composition" (PLDI 2021).
@@ -6,32 +6,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A frozen compressed-sparse-row snapshot of a \ref Graph plus a
-/// bit-parallel multi-source reachability kernel (see docs/KERNEL.md).
+/// The project's one directed-graph type — an immutable
+/// compressed-sparse-row graph, built in place — plus a bit-parallel
+/// multi-source reachability kernel (see docs/KERNEL.md).
 ///
-/// \ref Graph stores adjacency as one heap vector per node, which is the
-/// right shape while edges are still being inserted but a poor one for the
-/// closure sweeps Stage-1 inference runs over it: every traversal chases a
-/// pointer per node and every source pays a fresh visited-set allocation.
-/// \ref CsrGraph::freeze packs the edges into two flat arrays (forward and
-/// reverse CSR), caches the edge count, and settles the graph's order
-/// once. Synthesized netlists create wires in dependency order, so the
-/// fill pass usually proves node ids are already topological; the few
-/// descending edges that do occur (late-bound output-port wires) are
-/// repaired locally by topologically ordering just their downstream
-/// closure, which also settles acyclicity. Only genuinely cyclic graphs
-/// pay for a Tarjan pass, whose SCC ids come out reverse-topological.
+/// \ref CsrGraph::build makes the CSR arrays directly from a caller's
+/// edge visitor, run twice: the first pass counts out-degrees, the
+/// second fills each node's successors in insertion order. No
+/// per-node heap block is ever allocated. Build then settles the
+/// graph's order once. Synthesized netlists create wires in dependency
+/// order, so the ascending-id check usually proves node ids are
+/// already topological; the few descending edges that do occur
+/// (late-bound output-port wires) are repaired locally by
+/// topologically ordering just their downstream closure, which also
+/// settles acyclicity. Only genuinely cyclic graphs pay for a Tarjan
+/// pass, whose SCC ids come out reverse-topological and are reused by
+/// \ref CsrGraph::findCycle.
 ///
-/// Freezing also settles the KERNEL LAYOUT: a second CSR over "sweep
+/// Building also settles the KERNEL LAYOUT: a second CSR over "sweep
 /// positions" — condensation blocks renumbered so that every edge goes
-/// from a lower position to a higher one, level-grouped and sorted by
-/// out-degree within a level for cache locality. The permutation is
-/// applied and inverted internally (\ref ReachabilityKernel maps public
-/// node ids through it on seed and lookup), so NO public id ever
-/// changes. On the common all-ascending acyclic graph the layout is the
+/// from a lower position to a higher one. The permutation is applied
+/// and inverted internally (\ref ReachabilityKernel maps public node
+/// ids through it on seed and lookup), so NO public id ever changes.
+/// On the common all-ascending acyclic graph the layout is the
 /// identity and aliases the forward CSR at zero cost; graphs that
-/// needed repair or condensation materialize it. Consumers that never
-/// sweep can opt out with \ref Plain.
+/// needed repair or condensation materialize it.
 ///
 /// \ref ReachabilityKernel answers "which of these K sources reach node
 /// n?" for up to 512 sources per sweep: an L-word lane row (L = 1, 2, 4
@@ -53,62 +52,116 @@
 #define WIRESORT_SUPPORT_CSRGRAPH_H
 
 #include "support/Deadline.h"
-#include "support/Graph.h"
+#include "support/Trace.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <vector>
 
 namespace wiresort {
 
-/// An immutable compressed-sparse-row snapshot of a \ref Graph.
+/// Rows of values in compressed-sparse-row form, filled in two passes
+/// that replay the same sequence of \ref add calls: the first counts
+/// each row's length, the second stores the values. Each row keeps its
+/// values in insertion order. A caller ends each pass with \ref endPass.
+template <class T> class CsrRows {
+public:
+  explicit CsrRows(size_t NumRows = 0) : Row(NumRows + 1, 0) {}
+
+  /// Counts (first pass) or stores (second pass) \p V in row \p R.
+  void add(uint32_t R, const T &V) {
+    if (Filling)
+      Col[Row[R]++] = V;
+    else
+      ++Row[R + 1];
+  }
+
+  void endPass() {
+    if (!Filling) {
+      // Row[r] becomes row r's start, used as its fill cursor.
+      std::partial_sum(Row.begin(), Row.end(), Row.begin());
+      Col.resize(Row.back());
+      Filling = true;
+      return;
+    }
+    // Each cursor now sits at its row's end, the next row's start.
+    if (Row.size() > 1)
+      std::copy_backward(Row.begin(), Row.end() - 2, Row.end() - 1);
+    Row[0] = 0;
+  }
+
+  size_t numRows() const { return Row.size() - 1; }
+  size_t numValues() const { return Col.size(); }
+  std::span<const T> operator[](uint32_t R) const {
+    return {Col.data() + Row[R], Col.data() + Row[R + 1]};
+  }
+  const uint32_t *rowData() const { return Row.data(); }
+  const T *colData() const { return Col.data(); }
+
+private:
+  std::vector<uint32_t> Row;
+  std::vector<T> Col;
+  bool Filling = false;
+};
+
+/// An immutable directed graph over node indices [0, numNodes()).
 ///
-/// Freezing settles acyclicity (ascending-ids proof plus a local repair
-/// of any descending edges) and, for cyclic graphs only, the SCC
-/// condensation (Tarjan). Parallel edges survive the freeze unchanged;
-/// they are harmless to every consumer.
+/// Nodes are dense integers so callers map their own entities (wires,
+/// ports, instances, modules) to indices. Building settles acyclicity
+/// (ascending-ids proof plus a local repair of any descending edges)
+/// and, for cyclic graphs only, the SCC condensation (Tarjan). Parallel
+/// edges are kept; they are harmless to every consumer.
 class CsrGraph {
 public:
-  /// Which adjacency arrays \ref freeze materializes. Reverse row
-  /// offsets (in-degrees) are cheap — counted during the forward fill —
-  /// but filling the reverse column array is a full extra pass over the
-  /// edges, so closure-only consumers (Stage-1 inference, the circuit
-  /// checkers) skip it.
-  enum Edges { ForwardOnly, ForwardAndReverse };
-
-  /// Whether \ref freeze materializes the kernel (sweep) layout. The
-  /// identity layout of an all-ascending acyclic graph is free either
-  /// way; \ref Plain only skips the blocked reordering for graphs that
-  /// needed repair or condensation — for consumers that freeze purely
-  /// for \ref isAcyclic / adjacency and never construct a
-  /// \ref ReachabilityKernel.
-  enum Layout { Kernel, Plain };
-
   CsrGraph() = default;
 
-  /// Packs \p G into CSR form and orders it.
-  static CsrGraph freeze(const Graph &G, Edges Dirs = ForwardAndReverse,
-                         Layout L = Kernel);
+  /// Builds a graph of \p NumNodes nodes. \p ForEachEdge is called
+  /// exactly twice with an edge sink `Edge(From, To)` and must emit the
+  /// same edge sequence both times; each node's successors keep the
+  /// order their edges were emitted in. A visitor may fill its own
+  /// \ref CsrRows alongside, ending their pass as it returns.
+  template <class ForEachEdge>
+  static CsrGraph build(size_t NumNodes, ForEachEdge &&ForEach) {
+    CsrGraph C(NumNodes);
+    auto Edge = [&C](uint32_t From, uint32_t To) { C.Fwd.add(From, To); };
+    for (int Pass = 0; Pass != 2; ++Pass) {
+      ForEach(Edge);
+      C.Fwd.endPass();
+    }
+    C.order();
+    return C;
+  }
 
-  size_t numNodes() const { return FwdRow.empty() ? 0 : FwdRow.size() - 1; }
+  /// \ref build, accounted in the trace registry as one kernel freeze:
+  /// the `kernel.freeze` span, the kernel.freezes and
+  /// kernel.freeze_repairs counters and the kernel.freeze_us histogram.
+  /// The Stage-1 and Stage-3 graphs that \ref ReachabilityKernel sweeps
+  /// are built this way, so `--stats` counts them and not the module
+  /// orderings, levelizations and netlist checks built alongside.
+  template <class ForEachEdge>
+  static CsrGraph buildTraced(size_t NumNodes, ForEachEdge &&ForEach) {
+    trace::Span Freeze("kernel.freeze", "kernel");
+    Freeze.note("nodes", static_cast<uint64_t>(NumNodes));
+    const uint64_t T0 = trace::countersEnabled() ? trace::detail::nowNs() : 0;
+    CsrGraph C = build(NumNodes, ForEach);
+    C.recordFreeze(T0);
+    return C;
+  }
 
-  /// Total edge count, cached at freeze time (Graph::numEdges is a full
-  /// scan of the per-node vectors).
-  size_t numEdges() const { return FwdCol.size(); }
+  size_t numNodes() const { return Fwd.numRows(); }
+  size_t numEdges() const { return Fwd.numValues(); }
 
   std::span<const uint32_t> successors(uint32_t Node) const {
-    return {FwdCol.data() + FwdRow[Node], FwdCol.data() + FwdRow[Node + 1]};
-  }
-  std::span<const uint32_t> predecessors(uint32_t Node) const {
-    assert(RevCol.size() == FwdCol.size() &&
-           "reverse adjacency was not materialized (ForwardOnly freeze)");
-    return {RevCol.data() + RevRow[Node], RevCol.data() + RevRow[Node + 1]};
+    return Fwd[Node];
   }
 
   /// True iff the graph has no cycle (equivalently: no SCC of size > 1
-  /// and no self-edge). Settled at freeze time, so this is a
+  /// and no self-edge). Settled at build time, so this is a
   /// combinational-loop verdict for free.
   bool isAcyclic() const { return Acyclic; }
 
@@ -127,7 +180,7 @@ public:
     return Acyclic ? Node : Comp[Node];
   }
 
-  /// The nodes of component \p C, grouped at freeze time. Only available
+  /// The nodes of component \p C, grouped at build time. Only available
   /// on cyclic graphs — acyclic condensations are the identity and never
   /// materialize member lists.
   std::span<const uint32_t> componentNodes(uint32_t C) const {
@@ -135,22 +188,48 @@ public:
     return {CompNodes.data() + CompRow[C], CompNodes.data() + CompRow[C + 1]};
   }
 
-  /// True iff this freeze carries a sweep layout (always, unless frozen
-  /// with \ref Plain on a graph that needed reordering).
-  bool hasKernelLayout() const { return KernelLayoutOk; }
+  /// One cycle as a node sequence (each node feeds the next, the last
+  /// feeds the first), or std::nullopt when \ref isAcyclic. The lowest
+  /// self-looped node wins; otherwise the walk starts at the lowest node
+  /// of a nontrivial SCC and follows each node's first successor inside
+  /// its component until a node repeats.
+  std::optional<std::vector<uint32_t>> findCycle() const;
+
+  /// Topological order (Kahn, FIFO over ascending in-degree-0 seeds),
+  /// or std::nullopt when the graph has a cycle.
+  std::optional<std::vector<uint32_t>> topoSort() const;
+
+  /// Forward-reachable node set from \p Start (including \p Start),
+  /// returned as a dense boolean mask. One allocating search: the
+  /// single-source oracle the batched kernel is checked against.
+  std::vector<bool> reachableFrom(uint32_t Start) const;
+
+  /// Does \p From reach \p To? Equivalent to reachableFrom(From)[To] (so
+  /// reaches(X, X) is always true) but exits as soon as \p To is found.
+  bool reaches(uint32_t From, uint32_t To) const;
 
   /// Condensation block \p Block's sweep position (identity unless the
-  /// layout was materialized). Only meaningful under \ref
-  /// hasKernelLayout; node ids map via componentOf first.
+  /// layout was materialized). Node ids map via componentOf first.
   uint32_t kernelPos(uint32_t Block) const {
     return KernelPos.empty() ? Block : KernelPos[Block];
   }
 
 private:
-  // Forward and reverse CSR: Row has numNodes()+1 offsets into Col.
-  std::vector<uint32_t> FwdRow, FwdCol;
-  std::vector<uint32_t> RevRow, RevCol;
+  explicit CsrGraph(size_t NumNodes) : Fwd(NumNodes) {}
+
+  /// Settles acyclicity, the condensation and the kernel layout of the
+  /// freshly filled forward CSR.
+  void order();
+  /// Tarjan over the forward CSR: fills Comp and NumComps.
+  void tarjan();
+
+  /// The registry side of \ref buildTraced; \p T0 is its start time.
+  void recordFreeze(uint64_t T0) const;
+
+  CsrRows<uint32_t> Fwd;
   bool Acyclic = true;
+  /// Descending edges the ascending-id proof had to repair.
+  uint32_t Repairs = 0;
   /// Cyclic only: node -> component, plus nodes grouped by component.
   std::vector<uint32_t> Comp;
   std::vector<uint32_t> CompRow, CompNodes;
@@ -161,21 +240,17 @@ private:
   /// a strictly greater position. All three stay EMPTY for the identity
   /// layout (all-ascending acyclic graphs: node ids are already
   /// topological, so the forward CSR doubles as the kernel CSR at zero
-  /// cost). Materialized layouts group blocks by dependency level and
-  /// sort each level by descending out-degree — high-fanout rows front
-  /// their level so their lane rows are still cache-hot when their many
-  /// successors OR them in. Intra-block (same-SCC) edges are dropped
-  /// and cross-block parallel edges deduplicated during
-  /// materialization, so cyclic sweeps never touch componentNodes.
+  /// cost). Intra-block (same-SCC) edges are dropped and cross-block
+  /// parallel edges deduplicated during materialization, so cyclic
+  /// sweeps never touch componentNodes.
   std::vector<uint32_t> KernelPos;
   std::vector<uint32_t> KernelRow, KernelCol;
-  bool KernelLayoutOk = true;
 
   const uint32_t *kernelRowData() const {
-    return KernelRow.empty() ? FwdRow.data() : KernelRow.data();
+    return KernelRow.empty() ? Fwd.rowData() : KernelRow.data();
   }
   const uint32_t *kernelColData() const {
-    return KernelRow.empty() ? FwdCol.data() : KernelCol.data();
+    return KernelRow.empty() ? Fwd.colData() : KernelCol.data();
   }
 
   friend class ReachabilityKernel;
@@ -187,7 +262,7 @@ private:
 /// source nodes simultaneously: afterwards, lane k of \p Node's row
 /// (\ref bit, or \ref mask / \ref row for word access) is set iff
 /// Sources[k] reaches \p Node — with the same convention as
-/// Graph::reachableFrom, so a source always reaches itself. Callers
+/// CsrGraph::reachableFrom, so a source always reaches itself. Callers
 /// with more sources block them into chunks and sweep per chunk; \ref
 /// laneWordsFor picks the widest sensible row for a source count.
 ///
@@ -233,7 +308,7 @@ public:
   };
 
   /// Self-contained kernel with \p LaneWords-word rows (1, 2, 4 or 8).
-  /// \p G must outlive the kernel and carry a kernel layout.
+  /// \p G must outlive the kernel.
   explicit ReachabilityKernel(const CsrGraph &G, uint32_t LaneWords = 1)
       : ReachabilityKernel(G, OwnScratch, LaneWords) {}
 

@@ -8,6 +8,8 @@
 
 #include "support/Trace.h"
 
+#include <algorithm>
+
 using namespace wiresort;
 using namespace wiresort::support;
 using namespace wiresort::support::wire;
@@ -46,12 +48,26 @@ trace::Counter &checksumFailuresC() {
   return C;
 }
 
+/// The longest varint: 64 bits in 7-bit groups.
+constexpr size_t MaxVarintBytes = 10;
+
 void appendVarint(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
     Out.push_back(static_cast<char>((V & 0x7f) | 0x80));
     V >>= 7;
   }
   Out.push_back(static_cast<char>(V));
+}
+
+/// Makes room in \p Buf for \p Extra more bytes plus a little headroom.
+/// Appending a bulk payload (a request's design text) to a short buffer
+/// would otherwise size it exactly, and the next few bytes written after
+/// it would copy the whole payload into a block twice as big.
+void reserveFor(std::string &Buf, size_t Extra) {
+  constexpr size_t Headroom = 4096;
+  const size_t Need = Buf.size() + Extra;
+  if (Need > Buf.capacity())
+    Buf.reserve(std::max(Need + Headroom, 2 * Buf.capacity()));
 }
 
 void appendFixed64(std::string &Out, uint64_t V) {
@@ -123,6 +139,7 @@ void Writer::putFixed64(uint64_t V) { appendFixed64(Payload, V); }
 void Writer::putString(std::string_view S) { putVarint(intern(S)); }
 
 void Writer::putBytes(std::string_view Bytes) {
+  reserveFor(Payload, MaxVarintBytes + Bytes.size());
   putVarint(Bytes.size());
   Payload.append(Bytes.data(), Bytes.size());
 }
@@ -142,6 +159,8 @@ void Writer::flushStrings() {
 
 void Writer::frame(RecordKind K, const std::string &Body) {
   size_t Before = Out.size();
+  // Kind byte, length varint, body, checksum.
+  reserveFor(Out, 1 + MaxVarintBytes + Body.size() + 8);
   Out.push_back(static_cast<char>(K));
   appendVarint(Out, Body.size());
   Out += Body;

@@ -284,6 +284,123 @@ protected:
   std::map<uint64_t, WireId> ConstPool;
 };
 
+/// The wires, nets and registers FlatEmitter emits, counted from the
+/// RTL without emitting anything, so the flat netlist's arrays are
+/// allocated once at their final size. Growing them geometrically
+/// instead copies each element about twice, and on a 500k-gate design
+/// the abandoned blocks were most of lowering's fresh memory. The count
+/// mirrors GateEmitter's expansions one for one; the two pooled
+/// constant wires are the only slack.
+class FlatCounter {
+public:
+  struct Sizes {
+    size_t Wires = 0, Nets = 0, Registers = 0;
+    Sizes &operator+=(const Sizes &O) {
+      Wires += O.Wires;
+      Nets += O.Nets;
+      Registers += O.Registers;
+      return *this;
+    }
+  };
+
+  explicit FlatCounter(const Design &D) : D(D) {}
+
+  Sizes top(ModuleId Id) {
+    Sizes S = body(D.module(Id), /*TopLevel=*/true);
+    S.Wires += 2; // const0 and const1, emitted at most once each.
+    return S;
+  }
+
+private:
+  /// One body's emission. Below the top level, input ports are bound by
+  /// the instantiating body (see nested), which also counts any left
+  /// unbound.
+  Sizes body(const Module &M, bool TopLevel) {
+    Sizes S;
+    auto width = [&](WireId W) -> size_t { return M.wire(W).Width; };
+    for (const Wire &W : M.Wires)
+      if (W.Kind != WireKind::Const &&
+          (TopLevel || W.Kind != WireKind::Input))
+        S.Wires += W.Width;
+    for (const Net &N : M.Nets) {
+      const size_t Out = width(N.Output);
+      const size_t In = N.Inputs.empty() ? 0 : width(N.Inputs[0]);
+      // Gates made by gate() add a wire and a net each; gateInto() and
+      // Lut add only the net.
+      size_t Gates = 0, Into = Out;
+      switch (N.Operation) {
+      case Op::Lut:
+        Into = 1;
+        break;
+      case Op::Add:
+        Gates = 4 * Out;
+        break;
+      case Op::Sub:
+        Gates = 5 * Out;
+        break;
+      case Op::Eq:
+        Gates = 2 * In - 1; // Per-bit Xnor, then an And tree.
+        Into = 1;
+        break;
+      case Op::Lt:
+        Gates = 5 * In;
+        Into = 1;
+        break;
+      case Op::AndR:
+      case Op::OrR:
+      case Op::XorR:
+        Gates = In - 1;
+        Into = 1;
+        break;
+      default:
+        break;
+      }
+      S.Wires += Gates;
+      S.Nets += Gates + Into;
+    }
+    for (const Register &R : M.Registers)
+      S.Registers += width(R.Q);
+    for (const Memory &Mem : M.Memories) {
+      const size_t A = Mem.AddrWidth, DW = Mem.DataWidth;
+      const size_t Words = size_t(1) << A;
+      // Inverted write address; per word an And tree over the address
+      // terms, the enable gate, and a storage bit plus its Mux per data
+      // bit; per read bit a Mux tree over the words.
+      const size_t Gates = A + Words * (A - 1 + 1 + DW) + DW * (Words - 1);
+      S.Wires += Gates + Words * DW;
+      S.Nets += Gates + (Mem.SyncRead ? 0 : DW);
+      S.Registers += Words * DW + (Mem.SyncRead ? DW : 0);
+    }
+    for (const SubInstance &Inst : M.Instances)
+      S += nested(Inst, M);
+    return S;
+  }
+
+  /// One inlined instance: its definition's body, its unbound inputs,
+  /// and a Buf per bit of each output binding.
+  Sizes nested(const SubInstance &Inst, const Module &Parent) {
+    const Module &Def = D.module(Inst.Def);
+    auto [It, Fresh] = Bodies.try_emplace(Inst.Def);
+    if (Fresh)
+      It->second = body(Def, /*TopLevel=*/false);
+    Sizes S = It->second;
+    std::set<WireId> Bound;
+    for (const auto &[DefPort, Local] : Inst.Bindings) {
+      if (Def.isInput(DefPort))
+        Bound.insert(DefPort);
+      else
+        S.Nets += Parent.wire(Local).Width;
+    }
+    for (WireId In : Def.Inputs)
+      if (!Bound.count(In))
+        S.Wires += Def.wire(In).Width;
+    return S;
+  }
+
+  const Design &D;
+  std::map<ModuleId, Sizes> Bodies;
+};
+
 /// Flattening emitter: recursively inlines every instance.
 class FlatEmitter : public GateEmitter {
 public:
@@ -291,6 +408,10 @@ public:
       : GateEmitter(D, std::move(Name)) {}
 
   Module run(ModuleId Top) {
+    const FlatCounter::Sizes Size = FlatCounter(D).top(Top);
+    Out.Wires.reserve(Size.Wires);
+    Out.Nets.reserve(Size.Nets);
+    Out.Registers.reserve(Size.Registers);
     const Module &M = D.module(Top);
     BitMap Bits;
     BitMap OutputBits;

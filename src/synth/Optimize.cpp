@@ -6,7 +6,7 @@
 
 #include "synth/Optimize.h"
 
-#include "support/Graph.h"
+#include "support/CsrGraph.h"
 
 #include <cassert>
 #include <map>
@@ -146,13 +146,14 @@ size_t foldConstants(Module &M, std::map<bool, WireId> &Pool) {
 size_t breakLoops(Module &M, std::map<bool, WireId> &Pool) {
   size_t Broken = 0;
   while (true) {
-    Graph G(M.numWires());
-    for (const Net &N : M.Nets)
-      for (WireId In : N.Inputs)
-        G.addEdge(In, N.Output);
-    for (const Memory &Mem : M.Memories)
-      if (!Mem.SyncRead)
-        G.addEdge(Mem.RAddr, Mem.RData);
+    const CsrGraph G = CsrGraph::build(M.numWires(), [&](auto &&Edge) {
+      for (const Net &N : M.Nets)
+        for (WireId In : N.Inputs)
+          Edge(In, N.Output);
+      for (const Memory &Mem : M.Memories)
+        if (!Mem.SyncRead)
+          Edge(Mem.RAddr, Mem.RData);
+    });
     std::optional<std::vector<uint32_t>> Cycle = G.findCycle();
     if (!Cycle)
       return Broken;

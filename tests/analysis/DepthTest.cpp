@@ -11,8 +11,10 @@
 #include "analysis/SortInference.h"
 #include "gen/Catalog.h"
 #include "gen/Fifo.h"
+#include "gen/MegaScale.h"
 #include "gen/Random.h"
 #include "ir/Builder.h"
+#include "support/CsrGraph.h"
 #include "synth/Lower.h"
 
 #include <gtest/gtest.h>
@@ -45,15 +47,17 @@ int64_t gateLevelDepth(const Design &D, ModuleId Id,
                        const std::string &FromName,
                        const std::string &ToName) {
   Module Gates = synth::lower(D, Id);
-  Graph G(Gates.numWires());
   std::vector<uint32_t> Weight;
   std::vector<std::pair<WireId, WireId>> Edges;
   for (const Net &N : Gates.Nets)
     for (WireId In : N.Inputs) {
-      G.addEdge(In, N.Output);
       Edges.emplace_back(In, N.Output);
       Weight.push_back(N.Operation == Op::Buf ? 0 : 1);
     }
+  const CsrGraph G = CsrGraph::build(Gates.numWires(), [&](auto &&Edge) {
+    for (const auto &[From, To] : Edges)
+      Edge(From, To);
+  });
   auto Topo = G.topoSort();
   EXPECT_TRUE(Topo.has_value());
   std::vector<int64_t> Dist(Gates.numWires(), -1);
@@ -232,6 +236,18 @@ TEST(DepthTest, CircuitCriticalDepthCrossesBoundaries) {
   Analyzed An = analyzeOrDie(D);
   // 1 (from state) + 2 + 2 (two modules) + 3 (into state) = 8.
   EXPECT_EQ(circuitCriticalDepth(Circ, An.Summaries, An.Depths), 8u);
+}
+
+TEST(DepthTest, MegaCiCircuitCriticalDepthIsPinned) {
+  // The `ci` mega composition: thousands of port-graph nodes whose
+  // output ports relax along their connection edges. The value is the
+  // one the quadratic connection scan computed before the relax moved
+  // onto the port graph's successor lists.
+  Design D;
+  Circuit Circ =
+      gen::buildMegaScaleCircuit(D, *gen::megaScalePreset("ci"));
+  Analyzed An = analyzeOrDie(D);
+  EXPECT_EQ(circuitCriticalDepth(Circ, An.Summaries, An.Depths), 28u);
 }
 
 TEST(DepthTest, AdderDepthScalesWithWidth) {

@@ -1,15 +1,15 @@
-//===- tests/support/CsrGraphTest.cpp - CSR freeze + kernel tests ---------===//
+//===- tests/support/CsrGraphTest.cpp - CSR build + kernel tests ----------===//
 //
 // Part of the wiresort project. Pins the bit-parallel reachability kernel
-// (support/CsrGraph.h) to the per-source BFS oracle Graph::reachableFrom:
-// on every graph, for every source, the kernel's lane must equal the BFS
-// set bit for bit. Randomized coverage spans 200+ seeded DAGs and cyclic
+// (support/CsrGraph.h) to a per-source BFS over the raw edge list
+// (EdgeList.h), which shares no code with the kernel: on every graph,
+// for every source, the kernel's lane must equal the BFS set bit for bit. Randomized coverage spans 200+ seeded DAGs and cyclic
 // graphs; directed cases cover the empty graph, self-loops, and the
 // 63/64/65-source chunk boundaries.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/CsrGraph.h"
+#include "EdgeList.h"
 
 #include <gtest/gtest.h>
 
@@ -19,15 +19,15 @@
 #include <vector>
 
 using namespace wiresort;
+using wiresort::test::EdgeList;
 
 namespace {
 
 /// Sweeps \p Sources through the kernel in 64-wide chunks and checks each
-/// lane against a fresh Graph::reachableFrom of its source.
-void expectKernelMatchesBfs(const Graph &G,
-                            const std::vector<uint32_t> &Sources,
-                            CsrGraph::Edges Dirs = CsrGraph::ForwardAndReverse) {
-  const CsrGraph Csr = CsrGraph::freeze(G, Dirs);
+/// lane against a fresh edge-list BFS from its source.
+void expectKernelMatchesBfs(const EdgeList &G,
+                            const std::vector<uint32_t> &Sources) {
+  const CsrGraph Csr = G.build();
   ReachabilityKernel Kernel(Csr);
   for (size_t Base = 0; Base < Sources.size();
        Base += ReachabilityKernel::WordBits) {
@@ -37,29 +37,22 @@ void expectKernelMatchesBfs(const Graph &G,
     for (uint32_t K = 0; K != Count; ++K) {
       const uint32_t Src = Sources[Base + K];
       const std::vector<bool> Oracle = G.reachableFrom(Src);
-      for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
+      for (uint32_t Node = 0; Node != G.NumNodes; ++Node)
         EXPECT_EQ((Kernel.mask(Node) >> K) & 1, Oracle[Node] ? 1u : 0u)
             << "source " << Src << " node " << Node << " lane " << K;
     }
   }
 }
 
-/// All nodes of \p G as sources.
-std::vector<uint32_t> allNodes(const Graph &G) {
-  std::vector<uint32_t> Nodes(G.numNodes());
-  std::iota(Nodes.begin(), Nodes.end(), 0);
-  return Nodes;
-}
-
-Graph randomGraph(std::mt19937 &Rng, bool Dag) {
+EdgeList randomGraph(std::mt19937 &Rng, bool Dag) {
   std::uniform_int_distribution<uint32_t> NodeCount(1, 70);
   const uint32_t N = NodeCount(Rng);
-  Graph G(N);
+  EdgeList G(N);
   std::uniform_int_distribution<uint32_t> Node(0, N - 1);
   std::uniform_int_distribution<uint32_t> EdgeCount(0, 3 * N);
   // DAG mode orients edges along a random node permutation, not along
   // node ids: acyclic by construction yet full of descending-id edges,
-  // so the freeze cannot take its ascending-ids shortcut and the repair
+  // so the build cannot take its ascending-ids shortcut and the repair
   // ordering gets exercised with a large repair set.
   std::vector<uint32_t> Pos(N);
   std::iota(Pos.begin(), Pos.end(), 0);
@@ -79,9 +72,8 @@ Graph randomGraph(std::mt19937 &Rng, bool Dag) {
 
 } // namespace
 
-TEST(CsrGraphTest, EmptyGraphFreezes) {
-  Graph G(0);
-  CsrGraph Csr = CsrGraph::freeze(G);
+TEST(CsrGraphTest, EmptyGraphBuilds) {
+  CsrGraph Csr = EdgeList(0).build();
   EXPECT_EQ(Csr.numNodes(), 0u);
   EXPECT_EQ(Csr.numEdges(), 0u);
   EXPECT_EQ(Csr.numComponents(), 0u);
@@ -90,52 +82,43 @@ TEST(CsrGraphTest, EmptyGraphFreezes) {
   Kernel.sweep(nullptr, 0);
 }
 
-TEST(CsrGraphTest, CsrMirrorsAdjacencyAndCachesEdgeCount) {
-  Graph G(5);
+TEST(CsrGraphTest, CsrKeepsInsertionOrderAndEdgeCount) {
+  EdgeList G(5);
   G.addEdge(0, 1);
   G.addEdge(0, 2);
   G.addEdge(2, 3);
   G.addEdge(3, 2); // Cycle.
   G.addEdge(4, 4); // Self-loop.
-  G.addEdge(0, 1); // Parallel edge survives the freeze.
-  CsrGraph Csr = CsrGraph::freeze(G);
+  G.addEdge(0, 1); // Parallel edge survives the build.
+  CsrGraph Csr = G.build();
   EXPECT_EQ(Csr.numNodes(), 5u);
-  EXPECT_EQ(Csr.numEdges(), G.numEdges());
+  EXPECT_EQ(Csr.numEdges(), G.Edges.size());
 
   for (uint32_t Node = 0; Node != 5; ++Node) {
     std::vector<uint32_t> Succs(Csr.successors(Node).begin(),
                                 Csr.successors(Node).end());
     EXPECT_EQ(Succs, G.successors(Node)) << "node " << Node;
   }
-  // Reverse CSR: predecessors of each node, as a multiset.
-  std::vector<uint32_t> PredsOf1(Csr.predecessors(1).begin(),
-                                 Csr.predecessors(1).end());
-  EXPECT_EQ(PredsOf1, (std::vector<uint32_t>{0, 0}));
-  std::vector<uint32_t> PredsOf2(Csr.predecessors(2).begin(),
-                                 Csr.predecessors(2).end());
-  std::sort(PredsOf2.begin(), PredsOf2.end());
-  EXPECT_EQ(PredsOf2, (std::vector<uint32_t>{0, 3}));
-  EXPECT_TRUE(Csr.predecessors(0).empty());
 }
 
 TEST(CsrGraphTest, AcyclicGraphsHaveIdentityCondensation) {
-  // Acyclic freezes never run Tarjan: every node is its own component —
+  // Acyclic builds never run Tarjan: every node is its own component —
   // both on the ascending-ids shortcut and on the Kahn path.
-  Graph Ascending(4);
+  EdgeList Ascending(4);
   Ascending.addEdge(0, 1);
   Ascending.addEdge(1, 2);
   Ascending.addEdge(0, 3);
-  Graph Shuffled(4); // Descending-id edges force the repair ordering.
+  EdgeList Shuffled(4); // Descending-id edges force the repair ordering.
   Shuffled.addEdge(3, 1);
   Shuffled.addEdge(1, 0);
   Shuffled.addEdge(3, 2);
-  for (const Graph *G : {&Ascending, &Shuffled}) {
-    CsrGraph Csr = CsrGraph::freeze(*G);
+  for (const EdgeList *G : {&Ascending, &Shuffled}) {
+    CsrGraph Csr = G->build();
     EXPECT_TRUE(Csr.isAcyclic());
     EXPECT_EQ(Csr.numComponents(), 4u);
     for (uint32_t Node = 0; Node != 4; ++Node)
       EXPECT_EQ(Csr.componentOf(Node), Node);
-    expectKernelMatchesBfs(*G, allNodes(*G));
+    expectKernelMatchesBfs(*G, G->allNodes());
   }
 }
 
@@ -143,42 +126,32 @@ TEST(CsrGraphTest, NearSortedGraphRepairsDescendingTail) {
   // Mostly-ascending netlist shape: a long ascending chain plus a couple
   // of descending edges whose targets have further successors, so the
   // repair set is a small non-trivial region rather than the whole graph.
-  Graph G(8);
+  EdgeList G(8);
   for (uint32_t Node = 0; Node != 5; ++Node)
     G.addEdge(Node, Node + 1);
   G.addEdge(6, 2); // Descending; 2's downstream chain joins the repair set.
   G.addEdge(7, 0); // Descending onto the chain head.
   G.addEdge(5, 7); // Ascending feed into a descending-edge source.
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = G.build();
   EXPECT_FALSE(Csr.isAcyclic()); // 0..5 -> 7 -> 0 closes a cycle.
 
-  Graph H(8);
+  EdgeList H(8);
   for (uint32_t Node = 0; Node != 5; ++Node)
     H.addEdge(Node, Node + 1);
   H.addEdge(6, 2); // Descending but acyclic: 2 never reaches 6.
   H.addEdge(6, 7);
-  CsrGraph HCsr = CsrGraph::freeze(H);
+  CsrGraph HCsr = H.build();
   EXPECT_TRUE(HCsr.isAcyclic());
-  expectKernelMatchesBfs(H, allNodes(H));
-}
-
-TEST(CsrGraphTest, ForwardOnlyFreezeMatchesBfs) {
-  // Skipping the reverse column fill must not change any closure result,
-  // acyclic or cyclic.
-  std::mt19937 Rng(303);
-  for (int Trial = 0; Trial != 20; ++Trial) {
-    Graph G = randomGraph(Rng, Trial % 2 == 0);
-    expectKernelMatchesBfs(G, allNodes(G), CsrGraph::ForwardOnly);
-  }
+  expectKernelMatchesBfs(H, H.allNodes());
 }
 
 TEST(CsrGraphTest, ComponentsGroupTheCycle) {
-  Graph G(4);
+  EdgeList G(4);
   G.addEdge(0, 1);
   G.addEdge(1, 2);
   G.addEdge(2, 1);
   G.addEdge(2, 3);
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = G.build();
   EXPECT_FALSE(Csr.isAcyclic());
   EXPECT_EQ(Csr.numComponents(), 3u);
   EXPECT_EQ(Csr.componentOf(1), Csr.componentOf(2));
@@ -190,15 +163,15 @@ TEST(CsrGraphTest, ComponentsGroupTheCycle) {
 }
 
 TEST(CsrGraphTest, SelfLoopGraphMatchesBfs) {
-  Graph G(3);
+  EdgeList G(3);
   G.addEdge(0, 0);
   G.addEdge(0, 1);
-  expectKernelMatchesBfs(G, allNodes(G));
+  expectKernelMatchesBfs(G, G.allNodes());
 }
 
 TEST(CsrGraphTest, SingleNodeNoEdgesReachesOnlyItself) {
-  Graph G(1);
-  expectKernelMatchesBfs(G, allNodes(G));
+  EdgeList G(1);
+  expectKernelMatchesBfs(G, G.allNodes());
 }
 
 TEST(CsrGraphTest, ChunkBoundarySourceCounts) {
@@ -207,7 +180,7 @@ TEST(CsrGraphTest, ChunkBoundarySourceCounts) {
   // every source a distinct closure so lane mix-ups cannot cancel out.
   for (uint32_t NumSources : {63u, 64u, 65u}) {
     const uint32_t N = NumSources + 40;
-    Graph G(N);
+    EdgeList G(N);
     std::mt19937 Rng(NumSources);
     std::uniform_int_distribution<uint32_t> Sink(NumSources, N - 1);
     for (uint32_t S = 0; S != NumSources; ++S) {
@@ -227,10 +200,10 @@ TEST(CsrGraphTest, ScratchReuseAcrossSweepsIsClean) {
   // A second sweep over disjoint sources must not inherit lanes from the
   // first: sweep once from a node reaching everything, then from an
   // isolated node, and demand an empty lane everywhere else.
-  Graph G(4);
+  EdgeList G(4);
   G.addEdge(0, 1);
   G.addEdge(1, 2);
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = G.build();
   ReachabilityKernel Kernel(Csr);
   const uint32_t First[] = {0};
   Kernel.sweep(First, 1);
@@ -245,16 +218,16 @@ TEST(CsrGraphTest, ScratchReuseAcrossSweepsIsClean) {
 TEST(CsrGraphTest, RandomDagsMatchPerSourceBfs) {
   std::mt19937 Rng(101);
   for (int Trial = 0; Trial != 100; ++Trial) {
-    Graph G = randomGraph(Rng, /*Dag=*/true);
-    expectKernelMatchesBfs(G, allNodes(G));
+    EdgeList G = randomGraph(Rng, /*Dag=*/true);
+    expectKernelMatchesBfs(G, G.allNodes());
   }
 }
 
 TEST(CsrGraphTest, RandomCyclicGraphsMatchPerSourceBfs) {
   std::mt19937 Rng(202);
   for (int Trial = 0; Trial != 100; ++Trial) {
-    Graph G = randomGraph(Rng, /*Dag=*/false);
-    expectKernelMatchesBfs(G, allNodes(G));
+    EdgeList G = randomGraph(Rng, /*Dag=*/false);
+    expectKernelMatchesBfs(G, G.allNodes());
   }
 }
 
@@ -262,10 +235,10 @@ TEST(CsrGraphTest, DenseStronglyConnectedGraphSharesClosure) {
   // One big SCC: every node reaches every node, so after any sweep every
   // node's mask must carry every seeded lane.
   const uint32_t N = 80;
-  Graph G(N);
+  EdgeList G(N);
   for (uint32_t I = 0; I != N; ++I)
     G.addEdge(I, (I + 1) % N);
-  CsrGraph Csr = CsrGraph::freeze(G);
+  CsrGraph Csr = G.build();
   EXPECT_EQ(Csr.numComponents(), 1u);
   ReachabilityKernel Kernel(Csr);
   std::vector<uint32_t> Sources(ReachabilityKernel::WordBits);

@@ -2,7 +2,8 @@
 //
 // Part of the wiresort project. The reachability kernel's OR-sweep is one
 // loop templated on the lane-word count L in {1, 2, 4, 8}; this suite
-// pins every width to the per-source BFS oracle Graph::reachableFrom.
+// pins every width to a per-source BFS over the raw edge list
+// (EdgeList.h), which shares no code with the kernel.
 // 200 seeded DAG and cyclic graphs are swept at every L, and the
 // lane-chunking boundaries around 1/2/8-word rows
 // (63/64/65/127/128/129/511/512/513 sources) are exercised explicitly.
@@ -12,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/CsrGraph.h"
+#include "EdgeList.h"
 
 #include <gtest/gtest.h>
 
@@ -22,13 +23,14 @@
 #include <vector>
 
 using namespace wiresort;
+using wiresort::test::EdgeList;
 
 namespace {
 
 constexpr uint32_t AllWidths[] = {1, 2, 4, 8};
 
-/// Per source, the nodes it reaches according to Graph::reachableFrom.
-std::vector<std::vector<bool>> bfsClosures(const Graph &G,
+/// Per source, the nodes it reaches according to the edge-list BFS.
+std::vector<std::vector<bool>> bfsClosures(const EdgeList &G,
                                            const std::vector<uint32_t> &Sources) {
   std::vector<std::vector<bool>> Out;
   for (uint32_t Src : Sources)
@@ -57,10 +59,10 @@ kernelClosures(const CsrGraph &Csr, const std::vector<uint32_t> &Sources,
   return Out;
 }
 
-Graph randomGraph(std::mt19937 &Rng, bool Dag) {
+EdgeList randomGraph(std::mt19937 &Rng, bool Dag) {
   std::uniform_int_distribution<uint32_t> NodeCount(1, 120);
   const uint32_t N = NodeCount(Rng);
-  Graph G(N);
+  EdgeList G(N);
   std::uniform_int_distribution<uint32_t> Node(0, N - 1);
   std::uniform_int_distribution<uint32_t> EdgeCount(0, 3 * N);
   std::vector<uint32_t> Pos(N);
@@ -77,12 +79,6 @@ Graph randomGraph(std::mt19937 &Rng, bool Dag) {
     G.addEdge(From, To);
   }
   return G;
-}
-
-std::vector<uint32_t> allNodes(const Graph &G) {
-  std::vector<uint32_t> Nodes(G.numNodes());
-  std::iota(Nodes.begin(), Nodes.end(), 0);
-  return Nodes;
 }
 
 } // namespace
@@ -108,9 +104,9 @@ TEST(LaneWidthTest, RandomGraphsMatchBfsAtEveryWidth) {
   // swept at each row width: every lane must equal its BFS closure.
   std::mt19937 Rng(7001);
   for (int Trial = 0; Trial != 200; ++Trial) {
-    Graph G = randomGraph(Rng, Trial % 2 == 0);
-    const CsrGraph Csr = CsrGraph::freeze(G);
-    const std::vector<uint32_t> Sources = allNodes(G);
+    EdgeList G = randomGraph(Rng, Trial % 2 == 0);
+    const CsrGraph Csr = G.build();
+    const std::vector<uint32_t> Sources = G.allNodes();
     const std::vector<std::vector<bool>> Oracle = bfsClosures(G, Sources);
     for (uint32_t LaneWords : AllWidths)
       EXPECT_EQ(kernelClosures(Csr, Sources, LaneWords), Oracle)
@@ -127,7 +123,7 @@ TEST(LaneWidthTest, ChunkBoundarySourceCountsAtEveryWidth) {
   for (uint32_t NumSources :
        {63u, 64u, 65u, 127u, 128u, 129u, 511u, 512u, 513u}) {
     const uint32_t N = NumSources + 40;
-    Graph G(N);
+    EdgeList G(N);
     std::mt19937 Rng(NumSources);
     std::uniform_int_distribution<uint32_t> Sink(NumSources, N - 1);
     for (uint32_t S = 0; S != NumSources; ++S) {
@@ -137,7 +133,7 @@ TEST(LaneWidthTest, ChunkBoundarySourceCountsAtEveryWidth) {
     for (uint32_t Node = NumSources; Node + 1 != N; ++Node)
       if (Rng() % 2)
         G.addEdge(Node, Node + 1);
-    const CsrGraph Csr = CsrGraph::freeze(G);
+    const CsrGraph Csr = G.build();
     std::vector<uint32_t> Sources(NumSources);
     std::iota(Sources.begin(), Sources.end(), 0);
     const std::vector<std::vector<bool>> Oracle = bfsClosures(G, Sources);
